@@ -6,22 +6,18 @@
 //! - `collect` — `records_par`, which materialises every record before
 //!   returning — the retention profile of the pre-streaming merge (and
 //!   of any caller that wants a `Vec` back)
-//! - `stream` — `records_par_stream` with a counting consumer: workers
-//!   are bounded to `--max-inflight-records` ahead of the in-order
+//! - `stream` — the `ingest` driver with a counting consumer: workers
+//!   are bounded to `DEFAULT_MAX_INFLIGHT` records ahead of the in-order
 //!   merge, so retention stays flat
 //!
 //! VmHWM is a process-lifetime maximum, so each mode must run in its own
-//! process: `rss_bench <seq|collect|stream> [records] [jobs] [inflight]`.
+//! process: `rss_bench <seq|collect|stream> [records] [jobs]`.
 //! Corpus generation is identical across modes and sets the common floor.
 
 use pads::{
-    descriptions, BaseMask, Mask, PadsParser, ParseOptions, Registry, ResumePoint,
-    DEFAULT_MAX_INFLIGHT,
+    descriptions, BaseMask, Ingest, Mask, NoObserver, PadsParser, ParseOptions, Registry,
+    ResumePoint, SourceShape, DEFAULT_MAX_INFLIGHT,
 };
-use pads_runtime::WorkerObs;
-
-/// No-observer marker for `records_par_stream`'s factory parameter.
-type NoObs = fn() -> (WorkerObs, Box<dyn FnMut()>);
 
 fn vm_hwm_kb() -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("read status");
@@ -43,8 +39,6 @@ fn main() {
     let mode = args.first().map(String::as_str).unwrap_or("stream");
     let records: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(200_000);
     let jobs: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
-    let inflight: usize =
-        args.get(3).and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_MAX_INFLIGHT);
 
     let (data, _) = pads_gen::clf::generate(&pads_gen::ClfConfig {
         records,
@@ -69,16 +63,11 @@ fn main() {
         }
         "stream" => {
             let mut n = 0usize;
-            let _budget = parser.records_par_stream(
-                &data,
-                "entry_t",
-                &mask,
-                jobs,
-                inflight,
-                ResumePoint::default(),
-                None::<&NoObs>,
-                |_value, _pd, _extra, _progress| n += 1,
-            );
+            let shape = SourceShape::records("entry_t");
+            let start = ResumePoint::default();
+            parser.ingest(&data, &shape, &mask, jobs, start, None::<&NoObserver>, |step| {
+                n += usize::from(matches!(step, Ingest::Record(..)));
+            });
             n
         }
         other => {
@@ -89,7 +78,7 @@ fn main() {
 
     println!(
         "{{\"mode\": \"{mode}\", \"records\": {parsed}, \"jobs\": {jobs}, \
-         \"max_inflight\": {inflight}, \"data_bytes\": {}, \
+         \"max_inflight\": {DEFAULT_MAX_INFLIGHT}, \"data_bytes\": {}, \
          \"after_gen_kb\": {after_gen_kb}, \"vm_hwm_kb\": {}}}",
         data.len(),
         vm_hwm_kb()

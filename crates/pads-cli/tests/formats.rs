@@ -5,7 +5,6 @@
 //! panic-mode recovery policy — and `--format none` must parse (and set
 //! the exit status) without writing anything to stdout.
 
-use std::io::Write;
 use std::process::Command;
 
 fn pads() -> Command {
@@ -16,8 +15,11 @@ fn write_temp(name: &str, contents: &[u8]) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("pads-fmt-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).expect("temp file");
-    f.write_all(contents).expect("write");
+    // Tests share file names and run concurrently: write aside and rename,
+    // so no run reads a file another test is rewriting.
+    let aside = dir.join(format!("{name}.{:?}", std::thread::current().id()));
+    std::fs::write(&aside, contents).expect("temp file");
+    std::fs::rename(&aside, &path).expect("rename");
     path
 }
 

@@ -680,7 +680,7 @@ where
     // Workers parse their shard in isolation and ship each record with its
     // budget delta; descriptors are rebased to global coordinates here so
     // the merge is coordinate-agnostic.
-    let worker = |shard: &Shard, tx: ShardSender<(T, ParseDesc), ()>| {
+    let worker = |shard: &Shard, mut tx: ShardSender<(T, ParseDesc), ()>| {
         let mut cur = make(&tail[shard.start..shard.end]).with_policy(stripped);
         let mut prev = cur.budget();
         loop {

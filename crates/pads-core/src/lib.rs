@@ -79,6 +79,7 @@ pub use pads_syntax::{parse as parse_description, Program, SyntaxError};
 pub use arena::{push_value, to_value};
 pub use batch::{Bitmap, ColTree, ColumnView, PrimColView, RecordBatch};
 pub use eval::{Env, Ev};
+pub use parallel::{Ingest, Ingested, NoObserver, SourceShape};
 pub use parse::{has_syntax_error, Elements, Engine, PadsParser, ParseOptions, Records};
 pub use vm::VmProgram;
 pub use stream::StreamRecords;

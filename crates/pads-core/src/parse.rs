@@ -224,6 +224,13 @@ impl<'s> PadsParser<'s> {
     /// [`ParseDesc`]. Unconsumed input is flagged as
     /// [`ErrorCode::ExtraDataAtEof`].
     pub fn parse_source(&self, data: &[u8], mask: &Mask) -> (Value, ParseDesc) {
+        let (value, pd, _) = self.parse_whole(data, mask);
+        (value, pd)
+    }
+
+    /// [`parse_source`](Self::parse_source), also returning the final
+    /// error-budget tally.
+    pub(crate) fn parse_whole(&self, data: &[u8], mask: &Mask) -> (Value, ParseDesc, ErrorBudget) {
         let mut cur = self.cursor(data);
         let (value, mut pd) = self.parse_def(&mut cur, self.schema.source(), &[], mask);
         if cur.stopped() {
@@ -235,7 +242,7 @@ impl<'s> PadsParser<'s> {
             pd.add_error(ErrorCode::ExtraDataAtEof, loc);
             cur.observe_error("", ErrorCode::ExtraDataAtEof, Some(loc));
         }
-        (value, pd)
+        (value, pd, cur.budget())
     }
 
     /// Parses the named type at the cursor position.
@@ -299,20 +306,15 @@ impl<'s> PadsParser<'s> {
 
     /// Drains [`PadsParser::records`] into a columnar
     /// [`RecordBatch`](crate::batch::RecordBatch), returning the batch and
-    /// the final error-budget tally. Row `i` of the batch reconstructs the
-    /// exact `(Value, ParseDesc)` the iterator would have yielded.
+    /// the final error-budget tally: [`PadsParser::records_par_batched`]
+    /// at one job.
     pub fn records_batched(
         &self,
         data: &[u8],
         name: &str,
         mask: &Mask,
     ) -> (crate::batch::RecordBatch, pads_runtime::ErrorBudget) {
-        let mut batch = crate::batch::RecordBatch::new();
-        let mut it = self.records(data, name, mask);
-        for (value, pd) in it.by_ref() {
-            batch.push(&value, &pd);
-        }
-        (batch, it.budget())
+        self.records_par_batched(data, name, mask, 1)
     }
 
     /// A cursor over `data` configured with this parser's options, for
@@ -1220,7 +1222,9 @@ pub fn has_syntax_error(pd: &ParseDesc) -> bool {
     if pd.nerr == 0 {
         return false;
     }
-    pd.errors().iter().any(|(_, code, _)| !code.is_semantic())
+    let mut syntactic = false;
+    pd.visit_error_codes(&mut |code| syntactic |= !code.is_semantic());
+    syntactic
 }
 
 /// Iterator over records parsed one at a time (see
@@ -1243,12 +1247,6 @@ impl<'p, 's, 'd> Records<'p, 's, 'd> {
     /// The running error-budget tally of the underlying cursor.
     pub fn budget(&self) -> ErrorBudget {
         self.cur.budget()
-    }
-
-    /// Replaces the budget tally, carrying a source-level tally into this
-    /// iterator (the sharded engine's sequential-replay path).
-    pub fn set_budget(&mut self, budget: ErrorBudget) {
-        self.cur.set_budget(budget);
     }
 }
 

@@ -5,50 +5,41 @@
 //! accumulator program from minimal extra information … given only the
 //! names of the optional header type and the record type". The same
 //! pattern powers the generated formatting (§5.3.1) and XML-conversion
-//! (§5.3.2) programs. These functions are those programs as library calls.
+//! (§5.3.2) programs. These functions are those programs as library calls,
+//! reading the source through the one ingest driver,
+//! [`PadsParser::ingest`].
 
-use pads::{BaseMask, Mask, PadsParser, ParseOptions, Registry, Schema};
+use pads::{
+    BaseMask, Mask, NoObserver, PadsParser, ParseDesc, ParseOptions, Registry,
+    ResumePoint, Schema, SourceShape, Value,
+};
 
 use crate::acc::Accumulator;
 use crate::fmt::Formatter;
 use crate::xml::value_to_xml;
 
-/// The minimal extra information the paper asks for: an optional header
-/// type and the record type.
-#[derive(Debug, Clone)]
-pub struct SourceShape<'a> {
-    /// Name of the header type parsed once at the start, if any.
-    pub header: Option<&'a str>,
-    /// Name of the record type repeated to end of input.
-    pub record: &'a str,
-}
-
-impl<'a> SourceShape<'a> {
-    /// A headerless source of repeated records.
-    pub fn records(record: &'a str) -> SourceShape<'a> {
-        SourceShape { header: None, record }
-    }
-
-    /// A header followed by repeated records.
-    pub fn with_header(header: &'a str, record: &'a str) -> SourceShape<'a> {
-        SourceShape { header: Some(header), record }
-    }
-}
-
-fn skip_header(
-    parser: &PadsParser<'_>,
-    shape: &SourceShape<'_>,
+/// Reads `data` as `shape` says through the ingest driver, handing each
+/// record to `each` in source order; the header is skipped.
+fn for_each_record(
+    schema: &Schema,
+    registry: &Registry,
+    options: ParseOptions,
+    shape: &SourceShape,
     data: &[u8],
-    mask: &Mask,
-) -> usize {
-    match shape.header {
-        None => 0,
-        Some(h) => {
-            let mut cur = parser.open(data);
-            let _ = parser.parse_named(&mut cur, h, &[], mask);
-            cur.offset()
-        }
-    }
+    mut each: impl FnMut(Value, ParseDesc),
+) {
+    let parser = PadsParser::new(schema, registry).with_options(options);
+    let mask = Mask::all(BaseMask::CheckAndSet);
+    let start = ResumePoint::default();
+    parser.ingest(data, shape, &mask, 1, start, None::<&NoObserver>, |step| {
+        shape.records_in(step, &mut each);
+    });
+}
+
+/// The record type name of `shape` (empty when it has none, which the
+/// callers' documented panics cover).
+fn record_of(shape: &SourceShape) -> &str {
+    shape.record.as_deref().unwrap_or_default()
 }
 
 /// The generated accumulator program: parse the whole source record by
@@ -56,23 +47,19 @@ fn skip_header(
 ///
 /// # Panics
 ///
-/// Panics if the shape names types not declared in `schema`.
+/// Panics if the shape has no record type, or names types not declared in
+/// `schema`.
 pub fn accumulator_program<'s>(
     schema: &'s Schema,
     registry: &Registry,
     options: ParseOptions,
-    shape: &SourceShape<'_>,
+    shape: &SourceShape,
     data: &[u8],
     tracked: usize,
     top_k: usize,
 ) -> (Accumulator<'s>, String) {
-    let parser = PadsParser::new(schema, registry).with_options(options);
-    let mask = Mask::all(BaseMask::CheckAndSet);
-    let start = skip_header(&parser, shape, data, &mask);
-    let mut acc = Accumulator::with_limits(schema, shape.record, tracked, top_k);
-    for (v, pd) in parser.records(&data[start..], shape.record, &mask) {
-        acc.add(&v, &pd);
-    }
+    let mut acc = Accumulator::with_limits(schema, record_of(shape), tracked, top_k);
+    for_each_record(schema, registry, options, shape, data, |v, pd| acc.add(&v, &pd));
     let report = acc.report("<top>");
     (acc, report)
 }
@@ -88,18 +75,15 @@ pub fn formatting_program(
     schema: &Schema,
     registry: &Registry,
     options: ParseOptions,
-    shape: &SourceShape<'_>,
+    shape: &SourceShape,
     data: &[u8],
     formatter: &Formatter,
 ) -> String {
-    let parser = PadsParser::new(schema, registry).with_options(options);
-    let mask = Mask::all(BaseMask::CheckAndSet);
-    let start = skip_header(&parser, shape, data, &mask);
     let mut out = String::new();
-    for (v, _) in parser.records(&data[start..], shape.record, &mask) {
+    for_each_record(schema, registry, options, shape, data, |v, _| {
         out.push_str(&formatter.format(&v));
         out.push('\n');
-    }
+    });
     out
 }
 
@@ -114,17 +98,14 @@ pub fn xml_program(
     schema: &Schema,
     registry: &Registry,
     options: ParseOptions,
-    shape: &SourceShape<'_>,
+    shape: &SourceShape,
     data: &[u8],
     root_tag: &str,
 ) -> String {
-    let parser = PadsParser::new(schema, registry).with_options(options);
-    let mask = Mask::all(BaseMask::CheckAndSet);
-    let start = skip_header(&parser, shape, data, &mask);
     let mut out = format!("<{root_tag}>\n");
-    for (v, pd) in parser.records(&data[start..], shape.record, &mask) {
-        out.push_str(&value_to_xml(&v, Some(&pd), shape.record, 2));
-    }
+    for_each_record(schema, registry, options, shape, data, |v, pd| {
+        out.push_str(&value_to_xml(&v, Some(&pd), record_of(shape), 2));
+    });
     out.push_str(&format!("</{root_tag}>\n"));
     out
 }

@@ -13,8 +13,8 @@ use std::rc::Rc;
 
 use pads::generated::clf as gen_clf;
 use pads::{
-    descriptions, BaseMask, ErrorBudget, Mask, OnExhausted, PadsParser, ParseDesc, ParseOptions,
-    RecoveryPolicy, Registry, ResumePoint, Schema, Value,
+    descriptions, BaseMask, ErrorBudget, Ingest, Mask, NoObserver, OnExhausted, PadsParser,
+    ParseDesc, ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, SourceShape, Value,
 };
 use pads_observe::MetricsSink;
 use pads_runtime::{Cursor, FaultPlan, KillPlan, ObsHandle};
@@ -138,8 +138,15 @@ fn kill_resume_matches_uninterrupted_run() {
         // Record-sharded resume.
         for jobs in [1, 4] {
             let parser = parser_for(&schema, &registry, policy);
-            let (par, par_budget) =
-                parser.records_par_resumed(&data, "entry_t", &mask(), jobs, cp);
+            let mut par = Vec::new();
+            let shape = SourceShape::records("entry_t");
+            let par_budget = parser
+                .ingest(&data, &shape, &mask(), jobs, cp, None::<&NoObserver>, |step| {
+                    if let Ingest::Record(value, pd, _, _) = step {
+                        par.push((value, pd));
+                    }
+                })
+                .budget;
             assert_eq!(
                 par.as_slice(),
                 &full[cp.record..],
