@@ -8,9 +8,9 @@
 //! estimate of the true cost, and the ratio of minima cancels most
 //! machine-speed variation. The default threshold (1.25) sits well above
 //! the ~10% overhead the dense core is designed to hold
-//! (`docs/OBSERVABILITY.md`) but below the ~40% the legacy string-keyed
-//! observer used to cost, so a regression back to map lookups on the hot
-//! path trips the gate even on a noisy runner. Override with
+//! (`docs/OBSERVABILITY.md`) but below the ~40% a per-event map lookup
+//! cost when names were resolved on the hot path, so such a regression
+//! trips the gate even on a noisy runner. Override with
 //! `OBS_GATE_MAX_RATIO` when a runner class needs a different band.
 
 use std::time::Instant;

@@ -52,11 +52,9 @@
 //! `--journal`/`--resume` found the journal unusable, 1 on hard failure
 //! (bad usage, I/O, broken description).
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::rc::Rc;
 
 use pads::{
     BaseMask, Charset, Endian, Engine, ErrorCode, Ingest, Ingested, Loc, Mask, OnExhausted,
@@ -64,7 +62,7 @@ use pads::{
     Registry, ResumePoint, Schema, SourceShape,
 };
 use pads_check::lint;
-use pads_observe::{MetricsCore, MetricsHandle, MetricsSink, ObsHandle, TraceSink, WorkerObs};
+use pads_observe::{MetricsCore, MetricsHandle, MetricsSink, TraceSink, WorkerObs};
 
 /// Exit status for "the data had errors but the run completed".
 const EXIT_DATA_ERRORS: u8 = 2;
@@ -548,14 +546,14 @@ struct Input {
     options: ParseOptions,
 }
 
-/// The observation a run attaches: a dense metrics core for the
-/// source-level events and whatever the calling thread parses, the
-/// span-tree observer, and the core that per-record deltas fold into when
-/// records are parsed on their own cores (one per worker).
+/// The observation a run attaches: a dense metrics core (with the
+/// profiler or the span trace, when asked for) for the source-level
+/// events and whatever the calling thread parses, and the core that
+/// per-record deltas fold into when records are parsed on their own cores
+/// (one per worker).
 #[derive(Default)]
 struct Observe {
     core: Option<MetricsHandle>,
-    trace: Option<ObsHandle>,
     records: Option<MetricsHandle>,
 }
 
@@ -607,9 +605,6 @@ impl Input {
         let mut parser = PadsParser::new(&self.schema, registry).with_options(self.options);
         if let Some(core) = &observe.core {
             parser = parser.with_metrics(core.clone());
-        }
-        if let Some(trace) = &observe.trace {
-            parser = parser.with_observer(trace.clone());
         }
         let factory = metrics_factory(&self.schema);
         let workers = observe.records.as_ref().map(|_| &factory);
@@ -823,10 +818,16 @@ fn parse(o: &Opts, registry: &Registry, options: ParseOptions) -> Result<ExitCod
     shape.exact &= !xml;
     let shape = &shape;
 
-    let mut core = (o.metrics.is_some() || o.profile || o.journal.is_some())
+    let mut core = (o.metrics.is_some() || o.profile || o.journal.is_some() || o.trace.is_some())
         .then(|| schema_core(&input.schema));
-    if let (Some(core), true) = (&mut core, o.profile) {
-        core.enable_profile();
+    if let Some(core) = &mut core {
+        if o.profile {
+            core.enable_profile();
+        }
+        if o.trace.is_some() {
+            // The span tree keeps 8 levels and the first 10 000 spans.
+            core.enable_trace(8, 10_000);
+        }
     }
     let core = core.map(MetricsCore::into_handle);
     // A checkpoint holds what the records contributed, on their own core;
@@ -846,12 +847,7 @@ fn parse(o: &Opts, registry: &Registry, options: ParseOptions) -> Result<ExitCod
             (None, ResumePoint::default(), sharded)
         }
     };
-    let trace = o.trace.map(|_| Rc::new(RefCell::new(TraceSink::new())));
-    let observe = Observe {
-        core,
-        trace: trace.as_ref().map(|t| ObsHandle::from_rc(t.clone())),
-        records,
-    };
+    let observe = Observe { core, records };
 
     // The report folds each descriptor as it arrives; only XML keeps the
     // (whole) tree.
@@ -908,8 +904,8 @@ fn parse(o: &Opts, registry: &Registry, options: ParseOptions) -> Result<ExitCod
     } else if o.format == OutputFormat::Report && o.trace.is_none() && o.metrics.is_none() {
         print_report(&summary);
     }
-    if let (Some(t), Some(fmt)) = (&trace, o.trace) {
-        let t = t.borrow();
+    if let (Some(core), Some(fmt)) = (&observe.core, o.trace) {
+        let t = TraceSink::from_core(&core.borrow());
         match fmt {
             TraceFormat::Json => print!("{}", t.jsonl()),
             TraceFormat::Tree => print!("{}", t.render()),
@@ -1066,6 +1062,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             // the sampled (approximate) self-time column.
             need(2)?;
             let input = Input::load(&o, &registry, options)?;
+            if o.jobs > 1 {
+                eprintln!("pads: --profile forces a sequential parse; ignoring --jobs");
+            }
             let core = schema_core(&input.schema).with_profile().into_handle();
             let observe = Observe { core: Some(core.clone()), ..Observe::default() };
             let mut ok = true;

@@ -105,9 +105,8 @@ fn with_note(mut want: Vec<u8>, note: &str) -> Vec<u8> {
 fn jobs_note(desc: &str, case: &str) -> &'static str {
     match case {
         "parse_trace" => TRACE_NOTE,
-        "parse_profile" => PROFILE_NOTE,
+        "parse_profile" | "profile" | "profile_folded" => PROFILE_NOTE,
         "parse_xml" => XML_NOTE,
-        "profile" | "profile_folded" => "",
         _ if desc == "sirius" => HEADER_NOTE,
         _ => "",
     }

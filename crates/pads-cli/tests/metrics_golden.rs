@@ -113,3 +113,35 @@ fn trace_and_metrics_work_on_every_description() {
     }
     assert_eq!(described, 3, "bundled description inventory changed");
 }
+
+/// The value of the unlabelled Prometheus sample `family` in `text`.
+fn prom_value(text: &str, family: &str) -> u64 {
+    let line = text
+        .lines()
+        .find_map(|l| l.strip_prefix(family)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no `{family}` sample in:\n{text}"));
+    line.parse().unwrap_or_else(|_| panic!("numeric `{family}`: {line:?}"))
+}
+
+/// Worker cores hand their latency samples to the merge, so the latency
+/// summary counts every record at any `--jobs`.
+#[test]
+fn latency_count_is_the_same_at_every_job_count() {
+    let mut counts = Vec::new();
+    for jobs in ["1", "2", "4"] {
+        let out = run_parse(&[
+            "descriptions/clf.pads",
+            "tests/data/torture_clf.log",
+            "--metrics",
+            "--jobs",
+            jobs,
+        ]);
+        assert_eq!(out.status.code(), Some(EXIT_DATA_ERRORS));
+        let text = String::from_utf8(out.stdout).expect("utf-8 metrics");
+        let records = prom_value(&text, "pads_records_total");
+        let latency = prom_value(&text, "pads_record_latency_seconds_count");
+        assert_eq!(latency, records, "--jobs {jobs}: latency count vs records\n{text}");
+        counts.push(latency);
+    }
+    assert!(counts.iter().all(|&n| n == counts[0] && n > 0), "{counts:?}");
+}

@@ -83,3 +83,16 @@ fn parse_profile_flag_reports_table_on_stderr() {
     assert!(err.contains("node"), "profile table on stderr:\n{err}");
     assert!(err.contains("entry_t"), "per-node rows on stderr:\n{err}");
 }
+
+#[test]
+fn profile_says_it_ignores_jobs() {
+    let args = ["descriptions/clf.pads", "tests/data/torture_clf.log"];
+    let one = run_profile(&[&args[..], &["--jobs", "1"]].concat());
+    let two = run_profile(&[&args[..], &["--jobs", "2"]].concat());
+    let note = "pads: --profile forces a sequential parse; ignoring --jobs\n";
+    let (err1, err2) = (String::from_utf8_lossy(&one.stderr), String::from_utf8_lossy(&two.stderr));
+    assert!(!err1.contains(note), "no note at --jobs 1:\n{err1}");
+    assert_eq!(err2, format!("{note}{err1}"), "the note leads stderr at --jobs 2");
+    assert_eq!(two.stdout, one.stdout, "the table does not depend on --jobs");
+    assert_eq!(two.status.code(), one.status.code());
+}

@@ -20,7 +20,7 @@ impl<'s> Gen<'s> {
     /// The type is identified by its dense node id (`TypeId` doubles as
     /// the `ObsSchema` index — the module's `OBS_TYPES` table is emitted
     /// in the same order) so a trusted metrics core bumps flat slabs
-    /// without a name lookup; the name rides along for legacy observers.
+    /// without a name lookup; the name rides along for cores that intern.
     /// `("", "'d")` when the representation borrows the buffer (the `'d`
     /// is bound by the surrounding `impl<'d>`), else `("", "'_")`: fn
     /// generics and cursor lifetime for read methods.

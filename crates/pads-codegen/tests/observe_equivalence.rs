@@ -1,27 +1,24 @@
-//! Observer-stream equivalence: both engines — the interpreting parser and
+//! Event-stream equivalence: both engines — the interpreting parser and
 //! the generated modules — must emit *identical* event streams for the same
 //! input, because record, error, and recovery events come from the shared
 //! cursor accounting path and type enter/exit pairs bracket the same named
-//! types. Also pins the satellite guarantees: recovery events mirror the
+//! types. The streams are read from the attached metrics core's trace.
+//! Also pins the satellite guarantees: recovery events mirror the
 //! `ErrorBudget` counters exactly, under both degradation modes and the
-//! 1000-seed fault harness from PR 1.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! 1000-seed fault harness.
 
 use pads::generated::{clf, mixed, sirius};
 use pads::{descriptions, PadsParser, ParseOptions};
-use pads_observe::{MetricsSink, ObsHandle, Observer};
+use pads_observe::{MetricsCore, TraceEvent, TraceSink};
 use pads_runtime::{
-    BaseMask, Cursor, ErrorCode, FaultPlan, Loc, Mask, OnExhausted, ParseDesc, Pos,
-    RecoveryEvent, RecoveryPolicy,
+    BaseMask, Cursor, FaultPlan, Mask, OnExhausted, ParseDesc, RecoveryEvent, RecoveryPolicy,
 };
 
 fn mask() -> Mask {
     Mask::all(BaseMask::CheckAndSet)
 }
 
-/// Records every event verbatim, as comparable strings.
+/// Every event verbatim, as comparable strings.
 #[derive(Default)]
 struct EventLog {
     events: Vec<String>,
@@ -29,36 +26,40 @@ struct EventLog {
     skip_records: u64,
 }
 
-impl Observer for EventLog {
-    fn type_enter(&mut self, name: &str, pos: Pos) {
-        self.events.push(format!("enter {name} @{}", pos.offset));
-    }
-    fn type_exit(&mut self, name: &str, start: Pos, end: Pos, pd: &ParseDesc) {
-        self.events.push(format!(
-            "exit {name} [{}..{}) nerr={} ok={}",
-            start.offset,
-            end.offset,
-            pd.nerr,
-            pd.is_ok()
-        ));
-    }
-    fn error(&mut self, path: &str, code: ErrorCode, loc: Option<Loc>) {
-        let at = loc.map(|l| format!("{}..{}", l.begin.offset, l.end.offset));
-        self.events.push(format!("error {path} {} @{at:?}", code.name()));
-    }
-    fn recovery(&mut self, event: RecoveryEvent, pos: Pos) {
-        match event {
-            RecoveryEvent::PanicSkip { bytes } => self.panic_skip_bytes += bytes,
-            RecoveryEvent::SkipRecord => self.skip_records += 1,
-            RecoveryEvent::BudgetExhausted { .. } => {}
+impl EventLog {
+    /// Reads `core`'s unbounded trace, naming nodes through its table.
+    fn from_core(core: &MetricsCore) -> EventLog {
+        let trace = core.trace().expect("tracing on");
+        assert_eq!(trace.truncated(), 0, "the trace must keep every span");
+        let name = |id| core.node_name(id).unwrap_or("?");
+        let mut log = EventLog::default();
+        for event in trace.events() {
+            let line = match *event {
+                TraceEvent::Enter { node, offset } => format!("enter {} @{offset}", name(node)),
+                TraceEvent::Exit { node, start, end, nerr } => format!(
+                    "exit {} [{start}..{end}) nerr={nerr} ok={}",
+                    name(node),
+                    nerr == 0
+                ),
+                TraceEvent::Error { ref path, code, loc } => {
+                    let at = loc.map(|(begin, end)| format!("{begin}..{end}"));
+                    format!("error {path} {} @{at:?}", code.name())
+                }
+                TraceEvent::Recovery { event, offset } => {
+                    match event {
+                        RecoveryEvent::PanicSkip { bytes } => log.panic_skip_bytes += bytes,
+                        RecoveryEvent::SkipRecord => log.skip_records += 1,
+                        RecoveryEvent::BudgetExhausted { .. } => {}
+                    }
+                    format!("recovery {event:?} @{offset}")
+                }
+                TraceEvent::Record { index, start, end, nerr } => {
+                    format!("record {index} [{start}..{end}) nerr={nerr}")
+                }
+            };
+            log.events.push(line);
         }
-        self.events.push(format!("recovery {event:?} @{}", pos.offset));
-    }
-    fn record(&mut self, index: usize, span: Loc, nerr: u32) {
-        self.events.push(format!(
-            "record {index} [{}..{}) nerr={nerr}",
-            span.begin.offset, span.end.offset
-        ));
+        log
     }
 }
 
@@ -69,30 +70,30 @@ fn interp_events(
     policy: RecoveryPolicy,
 ) -> EventLog {
     let registry = pads_runtime::Registry::standard();
-    let sink: Rc<RefCell<EventLog>> = Rc::new(RefCell::new(EventLog::default()));
     let parser = PadsParser::new(schema, &registry)
-        .with_options(ParseOptions { policy, ..Default::default() })
-        .with_observer(ObsHandle::from_rc(sink.clone()));
+        .with_options(ParseOptions { policy, ..Default::default() });
+    let core = parser.metrics_core().with_trace(usize::MAX, usize::MAX).into_handle();
+    let parser = parser.with_metrics(core.clone());
     let _ = parser.parse_source(data, &mask());
-    drop(parser);
-    Rc::try_unwrap(sink).map(RefCell::into_inner).unwrap_or_default()
+    let log = EventLog::from_core(&core.borrow());
+    log
 }
 
-/// Parses `data` with a generated `parse_source` and returns the log plus
-/// the cursor's final budget (for counter cross-checks).
+/// Parses `data` with a generated `parse_source` on `core` (the module's
+/// `metrics_core()`) and returns the log plus the cursor's final budget
+/// (for counter cross-checks).
 fn gen_events(
+    core: MetricsCore,
     parse: impl Fn(&mut Cursor<'_>, &Mask) -> ParseDesc,
     data: &[u8],
     policy: RecoveryPolicy,
 ) -> (EventLog, pads_runtime::ErrorBudget) {
-    let sink: Rc<RefCell<EventLog>> = Rc::new(RefCell::new(EventLog::default()));
-    let mut cur = Cursor::new(data)
-        .with_policy(policy)
-        .with_observer(ObsHandle::from_rc(sink.clone()));
+    let core = core.with_trace(usize::MAX, usize::MAX).into_handle();
+    let mut cur = Cursor::new(data).with_policy(policy).with_metrics(core.clone());
     let _ = parse(&mut cur, &mask());
     let budget = cur.budget();
-    drop(cur);
-    (Rc::try_unwrap(sink).map(RefCell::into_inner).unwrap_or_default(), budget)
+    let log = EventLog::from_core(&core.borrow());
+    (log, budget)
 }
 
 fn assert_same_stream(name: &str, interp: &EventLog, gen: &EventLog) {
@@ -111,23 +112,34 @@ fn assert_same_stream(name: &str, interp: &EventLog, gen: &EventLog) {
 
 #[test]
 fn torture_corpora_produce_identical_event_streams() {
-    let cases: [(&str, &[u8], fn(&mut Cursor<'_>, &Mask) -> ParseDesc); 3] = [
-        ("clf", include_bytes!("../../../tests/data/torture_clf.log"), |cur, m| {
-            clf::parse_source(cur, m).1
-        }),
-        ("sirius", include_bytes!("../../../tests/data/torture_sirius.txt"), |cur, m| {
-            sirius::parse_source(cur, m).1
-        }),
-        ("mixed", include_bytes!("../../../tests/data/torture_mixed.txt"), |cur, m| {
-            mixed::parse_source(cur, m).1
-        }),
+    type Parse = fn(&mut Cursor<'_>, &Mask) -> ParseDesc;
+    type Case = (&'static str, &'static [u8], fn() -> MetricsCore, Parse);
+    let cases: [Case; 3] = [
+        (
+            "clf",
+            include_bytes!("../../../tests/data/torture_clf.log"),
+            clf::metrics_core,
+            |cur, m| clf::parse_source(cur, m).1,
+        ),
+        (
+            "sirius",
+            include_bytes!("../../../tests/data/torture_sirius.txt"),
+            sirius::metrics_core,
+            |cur, m| sirius::parse_source(cur, m).1,
+        ),
+        (
+            "mixed",
+            include_bytes!("../../../tests/data/torture_mixed.txt"),
+            mixed::metrics_core,
+            |cur, m| mixed::parse_source(cur, m).1,
+        ),
     ];
     let schemas =
         [descriptions::clf(), descriptions::sirius(), descriptions::mixed()];
-    for ((name, data, parse), schema) in cases.into_iter().zip(&schemas) {
+    for ((name, data, core, parse), schema) in cases.into_iter().zip(&schemas) {
         let policy = RecoveryPolicy::unlimited();
         let interp = interp_events(schema, data, policy);
-        let (gen, _) = gen_events(parse, data, policy);
+        let (gen, _) = gen_events(core(), parse, data, policy);
         assert_same_stream(name, &interp, &gen);
     }
 }
@@ -152,7 +164,8 @@ fn skip_record_mode_emits_matching_recovery_events() {
         .with_on_exhausted(OnExhausted::SkipRecord);
     let schema = descriptions::sirius();
     let interp = interp_events(&schema, &data, policy);
-    let (gen, budget) = gen_events(|c, m| sirius::parse_source(c, m).1, &data, policy);
+    let (gen, budget) =
+        gen_events(sirius::metrics_core(), |c, m| sirius::parse_source(c, m).1, &data, policy);
     assert_same_stream("sirius/skip-record", &interp, &gen);
     // Every budget-driven record skip produced exactly one SkipRecord event,
     // and the exhaustion transition itself was announced once.
@@ -164,13 +177,11 @@ fn skip_record_mode_emits_matching_recovery_events() {
         .filter(|e| e.starts_with("recovery BudgetExhausted"))
         .count();
     assert_eq!(exhausted, 1, "exhaustion transition must fire exactly once");
-    // The metrics sink aggregates the same stream into the same counters.
-    let sink: Rc<RefCell<MetricsSink>> = Rc::new(RefCell::new(MetricsSink::new()));
-    let mut cur = Cursor::new(&data)
-        .with_policy(policy)
-        .with_observer(ObsHandle::from_rc(sink.clone()));
+    // A counting core aggregates the same stream into the same counters.
+    let core = sirius::metrics_core().into_handle();
+    let mut cur = Cursor::new(&data).with_policy(policy).with_metrics(core.clone());
     let _ = sirius::parse_source(&mut cur, &mask());
-    let m = sink.borrow();
+    let m = core.borrow();
     assert_eq!(m.records_skipped(), budget.skipped_records);
     assert_eq!(m.records(), 40 + 1); // 40 entries + the header record
 }
@@ -183,7 +194,8 @@ fn best_effort_mode_emits_matching_recovery_events() {
         .with_on_exhausted(OnExhausted::BestEffort);
     let schema = descriptions::sirius();
     let interp = interp_events(&schema, &data, policy);
-    let (gen, budget) = gen_events(|c, m| sirius::parse_source(c, m).1, &data, policy);
+    let (gen, budget) =
+        gen_events(sirius::metrics_core(), |c, m| sirius::parse_source(c, m).1, &data, policy);
     assert_same_stream("sirius/best-effort", &interp, &gen);
     // Best-effort never skips records wholesale; it only flattens detail.
     assert_eq!(gen.skip_records, 0);
@@ -196,7 +208,7 @@ fn best_effort_mode_emits_matching_recovery_events() {
     );
 }
 
-/// The 1000-seed fault harness from PR 1, with observers attached: both
+/// The 1000-seed fault harness, with traces attached: both
 /// engines still agree event-for-event, and the recovery events account for
 /// exactly the bytes the budget says panic mode skipped.
 #[test]
@@ -212,9 +224,10 @@ fn fault_harness_event_streams_agree_and_match_byte_accounting() {
     for seed in 0..1000 {
         let data = FaultPlan::for_seed(seed).apply(&clean);
         let interp = interp_events(&schema, &data, policy);
-        let (gen, budget) = gen_events(|c, m| clf::parse_source(c, m).1, &data, policy);
+        let (gen, budget) =
+            gen_events(clf::metrics_core(), |c, m| clf::parse_source(c, m).1, &data, policy);
         assert_same_stream(&format!("clf seed {seed}"), &interp, &gen);
-        // PR-1 byte accounting, restated through the observer: the sum of
+        // Byte accounting, restated through the trace: the sum of
         // PanicSkip event bytes equals the budget's panic_skipped counter.
         assert_eq!(
             gen.panic_skip_bytes, budget.panic_skipped,
@@ -225,4 +238,42 @@ fn fault_harness_event_streams_agree_and_match_byte_accounting() {
         }
     }
     assert!(panic_seeds > 0, "no mutation triggered panic recovery");
+}
+
+/// The trace's depth and span bounds through a real parse: every type
+/// enter is either a recorded span or counted as truncated, no recorded
+/// span sits deeper than the bound, and the render says how many spans
+/// it left out.
+#[test]
+fn trace_bounds_hold_through_a_real_parse() {
+    const DEPTH: usize = 3;
+    const SPANS: usize = 40;
+    let schema = descriptions::clf();
+    let registry = pads_runtime::Registry::standard();
+    let parser = PadsParser::new(&schema, &registry);
+    let core = parser.metrics_core().with_trace(DEPTH, SPANS).into_handle();
+    let parser = parser.with_metrics(core.clone());
+    let _ = parser.parse_source(include_bytes!("../../../tests/data/torture_clf.log"), &mask());
+    let core = core.borrow();
+    let enters: u64 = core.sorted_types().iter().map(|(_, t)| t.hits).sum();
+    let trace = core.trace().expect("tracing on");
+    let (mut spans, mut depth, mut deepest) = (0u64, 0usize, 0usize);
+    for event in trace.events() {
+        match event {
+            TraceEvent::Enter { .. } => {
+                spans += 1;
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            TraceEvent::Exit { .. } => depth -= 1,
+            _ => {}
+        }
+    }
+    assert_eq!(spans, SPANS as u64, "the span bound is reached");
+    assert!(deepest <= DEPTH, "a span {deepest} levels deep");
+    assert!(trace.truncated() > 0, "the bounds cut nothing");
+    assert_eq!(spans + trace.truncated(), enters, "recorded plus truncated spans");
+    let text = TraceSink::from_core(&core).render();
+    let tail = format!("({} spans beyond bounds not shown)\n", trace.truncated());
+    assert!(text.ends_with(&tail), "{text}");
 }

@@ -16,12 +16,12 @@
 //! exactly its records is parsed whole instead of losing its source-level
 //! checks.
 //!
-//! Observers are per-worker: a *factory* builds one [`WorkerObs`]
-//! attachment per worker thread (handles never cross threads) plus a
+//! Observation is per-worker: a *factory* builds one [`WorkerObs`]
+//! metrics core per worker thread (handles never cross threads) plus a
 //! harvest closure drained once per record, whose deltas reach the
 //! consumer in merge order. Records parsed on the calling thread without a
 //! factory, and the source type's own events, go to the parser's own
-//! observation, so metrics, profiles and traces match a whole-source parse.
+//! core, so metrics, profiles and traces match a whole-source parse.
 
 use pads_check::ir::{MemberIr, Schema, TypeId, TypeKind, TyUse};
 use pads_runtime::par::{self, Progress, RecordMsg, Shard, ShardSender};
@@ -457,9 +457,6 @@ impl<'s> PadsParser<'s> {
                 return (parser, None);
             };
             let (att, harvest) = factory();
-            if let Some(obs) = att.handle {
-                parser = parser.with_observer(obs);
-            }
             if let Some(core) = att.metrics {
                 parser = parser.with_metrics(core);
             }

@@ -18,7 +18,7 @@ use pads_runtime::io::{new_regex_cache, RegexCache};
 use pads_runtime::pd::PdKind;
 use pads_runtime::{
     BaseMask, Charset, Cursor, Endian, ErrorBudget, ErrorCode, Loc, Mask, MetricsCore,
-    MetricsHandle, Name, ObsHandle, ParseDesc, ParseState, Pos, Prim, RecordDiscipline,
+    MetricsHandle, Name, ParseDesc, ParseState, Pos, Prim, RecordDiscipline,
     RecoveryPolicy, Registry,
 };
 use pads_syntax::ast::{CaseLabel, Expr, Literal};
@@ -81,7 +81,6 @@ pub struct PadsParser<'s> {
     schema: &'s Schema,
     registry: &'s Registry,
     options: ParseOptions,
-    obs: Option<ObsHandle>,
     metrics: Option<MetricsHandle>,
     /// One compiled-regex cache per parser: every cursor the parser builds
     /// shares it, so each `Pre` pattern in the schema compiles once — not
@@ -144,7 +143,6 @@ impl<'s> PadsParser<'s> {
             schema,
             registry,
             options: ParseOptions::default(),
-            obs: None,
             metrics: None,
             regexes: new_regex_cache(),
             names: intern_names(schema),
@@ -161,14 +159,8 @@ impl<'s> PadsParser<'s> {
         self
     }
 
-    /// Attaches an observer; every cursor the parser builds (including
-    /// the per-record cursors of the streaming front-end) carries it.
-    pub fn with_observer(mut self, obs: ObsHandle) -> PadsParser<'s> {
-        self.obs = Some(obs);
-        self
-    }
-
     /// Attaches a dense-id metrics core; every cursor the parser builds
+    /// (including the per-record cursors of the streaming front-end)
     /// carries it. The interpreter's type ids *are* the core's node ids
     /// when the core was built over this schema's type names (see
     /// [`PadsParser::metrics_core`]), so the metrics hot path is a flat
@@ -208,10 +200,6 @@ impl<'s> PadsParser<'s> {
             .with_discipline(self.options.discipline)
             .with_policy(self.options.policy)
             .with_regex_cache(self.regexes.clone());
-        let cur = match &self.obs {
-            Some(obs) => cur.with_observer(obs.clone()),
-            None => cur,
-        };
         match &self.metrics {
             Some(core) => cur.with_metrics(core.clone()),
             None => cur,
@@ -337,9 +325,9 @@ impl<'s> PadsParser<'s> {
 
     // ---- internals -------------------------------------------------------
 
-    /// Parses the definition `id`, bracketing the work with observer
-    /// type-enter/type-exit events. The observer test is a single
-    /// `Option` discriminant check, so the unobserved path pays nothing.
+    /// Parses the definition `id`, bracketing the work with type-enter/
+    /// type-exit events. The observation test is a single `Option`
+    /// discriminant check, so the unobserved path pays nothing.
     fn parse_def(
         &self,
         cur: &mut Cursor<'_>,
@@ -363,7 +351,7 @@ impl<'s> PadsParser<'s> {
         }
         // TypeId doubles as the dense metrics node id (the core attached
         // by `with_metrics` is built over the same type list); the name
-        // is borrowed for legacy observers — no per-parse allocation.
+        // is borrowed for cores that intern — no per-parse allocation.
         let name = &self.schema.def(id).name;
         let start = cur.position();
         cur.observe_enter_id(id as u32, name);

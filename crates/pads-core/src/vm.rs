@@ -93,7 +93,7 @@ impl VmProgram {
 
 /// One compiled type definition.
 struct CDef {
-    /// Type name, borrowed by observer enter/exit events.
+    /// Type name, borrowed by enter/exit events for cores that intern.
     name: String,
     is_record: bool,
     /// Interned value-parameter names, by declaration index.

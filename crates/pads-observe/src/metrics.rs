@@ -4,10 +4,7 @@
 //! Aggregation lives in [`pads_runtime::metrics`]: the core is a plain
 //! `Send` struct bumping flat `Vec`-indexed counter slabs by node id, so
 //! the hot path never touches a string — names are rejoined here, at
-//! exposition time. `MetricsSink` wraps one core and renders it; it also
-//! still implements the legacy [`Observer`] trait (interning names per
-//! event) as a compatibility surface for event-stream plumbing such as
-//! [`Fanout`](crate::Fanout).
+//! exposition time. `MetricsSink` wraps one core and renders it.
 //!
 //! All counters are exact and deterministic for a given input — the JSON
 //! `counts` section is diffable across runs and machines and is what the
@@ -18,8 +15,6 @@
 use std::fmt::Write as _;
 
 use pads_runtime::metrics::MetricsCore;
-use pads_runtime::observe::{Observer, RecoveryEvent};
-use pads_runtime::{ErrorCode, Loc, ParseDesc, Pos};
 
 use crate::util::esc;
 
@@ -94,13 +89,11 @@ impl MetricsSink {
         self.core.sorted_error_codes()
     }
 
-    /// Folds another sink's deterministic counters into this one — the
-    /// merge step of a parallel record-sharded parse, where each worker
-    /// thread aggregates into its own sink. The fold is name-keyed and
-    /// order-independent, so `counts_json` over the merged sink matches
-    /// a sequential run. Latency summaries are wall-clock samples of the
-    /// *worker's* cadence and are deliberately not folded in; timings
-    /// are excluded from golden snapshots for the same reason.
+    /// Folds another sink's counters into this one — the merge step of a
+    /// parallel record-sharded parse, where each worker thread aggregates
+    /// into its own sink. The fold is name-keyed and order-independent,
+    /// so `counts_json` over the merged sink matches a sequential run;
+    /// see [`MetricsCore::merge`].
     pub fn merge(&mut self, other: &MetricsSink) {
         self.core.merge(&other.core);
     }
@@ -330,43 +323,43 @@ fn indent(s: &str, pad: &str) -> String {
     out
 }
 
-/// Legacy event-stream compatibility: a sink driven through the
-/// [`Observer`] trait interns each event's name into its core. The dense
-/// cursor attachment ([`Cursor::with_metrics`]) is the fast path; this
-/// impl keeps `Fanout`, tests, and existing plumbing working unchanged.
-///
-/// [`Cursor::with_metrics`]: pads_runtime::Cursor::with_metrics
-impl Observer for MetricsSink {
-    fn type_exit(&mut self, name: &str, start: Pos, end: Pos, pd: &ParseDesc) {
-        self.core.note_type(name, end.offset.saturating_sub(start.offset) as u64, pd.nerr);
-    }
-
-    fn error(&mut self, _path: &str, code: ErrorCode, _loc: Option<Loc>) {
-        self.core.note_error(code);
-    }
-
-    fn recovery(&mut self, event: RecoveryEvent, _pos: Pos) {
-        self.core.note_recovery(event);
-    }
-
-    fn record(&mut self, _index: usize, span: Loc, nerr: u32) {
-        self.core.note_record(span.end.offset.saturating_sub(span.begin.offset) as u64, nerr);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pads_runtime::metrics::MetricsCore;
-    use pads_runtime::OnExhausted;
+    use pads_runtime::{ErrorCode, OnExhausted, RecoveryEvent};
+
+    /// Event shorthands over a sink's lazily-interning core, which
+    /// resolves every node through its name (the id is ignored).
+    trait Feed {
+        fn ty(&mut self, name: &str, bytes: usize);
+        fn err(&mut self, code: ErrorCode);
+        fn rec(&mut self, nerr: u32);
+        fn recover(&mut self, event: RecoveryEvent);
+    }
+
+    impl Feed for MetricsSink {
+        fn ty(&mut self, name: &str, bytes: usize) {
+            self.core_mut().exit_id(0, name, 0, bytes, 0);
+        }
+        fn err(&mut self, code: ErrorCode) {
+            self.core_mut().source_error("p", code, None);
+        }
+        fn rec(&mut self, nerr: u32) {
+            self.core_mut().note_record(0, nerr);
+        }
+        fn recover(&mut self, event: RecoveryEvent) {
+            self.core_mut().note_recovery(event, 0);
+        }
+    }
 
     #[test]
     fn counts_json_is_deterministic_and_ordered() {
         let mut m = MetricsSink::new();
-        m.type_exit("b_t", Pos::default(), Pos { offset: 4, record: 0, byte: 4 }, &ParseDesc::default());
-        m.type_exit("a_t", Pos::default(), Pos { offset: 2, record: 0, byte: 2 }, &ParseDesc::default());
-        m.error("x", ErrorCode::LitMismatch, None);
-        m.record(0, Loc::default(), 1);
+        m.ty("b_t", 4);
+        m.ty("a_t", 2);
+        m.err(ErrorCode::LitMismatch);
+        m.rec(1);
         let a = m.counts_json();
         let b = m.counts_json();
         assert_eq!(a, b);
@@ -381,12 +374,9 @@ mod tests {
     #[test]
     fn recovery_events_tally() {
         let mut m = MetricsSink::new();
-        m.recovery(RecoveryEvent::PanicSkip { bytes: 7 }, Pos::default());
-        m.recovery(RecoveryEvent::SkipRecord, Pos::default());
-        m.recovery(
-            RecoveryEvent::BudgetExhausted { mode: OnExhausted::BestEffort },
-            Pos::default(),
-        );
+        m.recover(RecoveryEvent::PanicSkip { bytes: 7 });
+        m.recover(RecoveryEvent::SkipRecord);
+        m.recover(RecoveryEvent::BudgetExhausted { mode: OnExhausted::BestEffort });
         assert_eq!(m.panic_skipped_bytes(), 7);
         assert_eq!(m.records_skipped(), 1);
         assert!(m.counts_json().contains("\"BestEffort\": 1"));
@@ -395,49 +385,39 @@ mod tests {
     #[test]
     fn merge_folds_counters_exactly() {
         let mut a = MetricsSink::new();
-        a.type_exit("t", Pos::default(), Pos { offset: 4, record: 0, byte: 4 }, &ParseDesc::default());
-        a.error("x", ErrorCode::LitMismatch, None);
-        a.record(0, Loc::default(), 1);
+        a.ty("t", 4);
+        a.err(ErrorCode::LitMismatch);
+        a.rec(1);
         let mut b = MetricsSink::new();
-        b.type_exit("t", Pos::default(), Pos { offset: 2, record: 0, byte: 2 }, &ParseDesc::default());
-        b.error("y", ErrorCode::RangeError, None);
-        b.recovery(RecoveryEvent::SkipRecord, Pos::default());
-        b.record(1, Loc::default(), 0);
+        b.ty("t", 2);
+        b.err(ErrorCode::RangeError);
+        b.recover(RecoveryEvent::SkipRecord);
+        b.rec(0);
 
         // One sink fed both streams sequentially == two sinks merged.
         let mut seq = MetricsSink::new();
-        seq.type_exit("t", Pos::default(), Pos { offset: 4, record: 0, byte: 4 }, &ParseDesc::default());
-        seq.error("x", ErrorCode::LitMismatch, None);
-        seq.record(0, Loc::default(), 1);
-        seq.type_exit("t", Pos::default(), Pos { offset: 2, record: 0, byte: 2 }, &ParseDesc::default());
-        seq.error("y", ErrorCode::RangeError, None);
-        seq.recovery(RecoveryEvent::SkipRecord, Pos::default());
-        seq.record(1, Loc::default(), 0);
+        seq.ty("t", 4);
+        seq.err(ErrorCode::LitMismatch);
+        seq.rec(1);
+        seq.ty("t", 2);
+        seq.err(ErrorCode::RangeError);
+        seq.recover(RecoveryEvent::SkipRecord);
+        seq.rec(0);
 
         a.merge(&b);
         assert_eq!(a.counts_json(), seq.counts_json());
     }
 
     #[test]
-    fn dense_core_exposition_matches_legacy_observer_feed() {
-        // The same event stream fed (a) through the legacy Observer impl
-        // and (b) into a schema-built dense core must render to the same
-        // bytes — the property that keeps golden snapshots unchanged.
-        let mut legacy = MetricsSink::new();
-        legacy.type_exit(
-            "entry_t",
-            Pos::default(),
-            Pos { offset: 10, record: 0, byte: 10 },
-            &ParseDesc::default(),
-        );
-        legacy.type_exit(
-            "client_t",
-            Pos::default(),
-            Pos { offset: 4, record: 0, byte: 4 },
-            &ParseDesc::default(),
-        );
-        legacy.error("p", ErrorCode::LitMismatch, None);
-        legacy.record(0, Loc::default(), 1);
+    fn dense_core_exposition_matches_interning_core() {
+        // The same events fed (a) into a lazily-interning core and (b)
+        // into a schema-built dense core must render to the same bytes —
+        // the property that keeps golden snapshots unchanged.
+        let mut interned = MetricsSink::new();
+        interned.ty("entry_t", 10);
+        interned.ty("client_t", 4);
+        interned.err(ErrorCode::LitMismatch);
+        interned.rec(1);
 
         let mut core = MetricsCore::with_names(["entry_t", "client_t", "unused_t"]);
         core.exit_id(0, "entry_t", 0, 10, 0);
@@ -445,7 +425,7 @@ mod tests {
         core.note_error(ErrorCode::LitMismatch);
         core.note_record(0, 1);
         let dense = MetricsSink::from_core(core);
-        assert_eq!(dense.counts_json(), legacy.counts_json());
+        assert_eq!(dense.counts_json(), interned.counts_json());
         // Timing families aside, the Prometheus counter lines agree too.
         let strip = |s: &str| {
             s.lines()
@@ -453,13 +433,13 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(strip(&dense.prometheus()), strip(&legacy.prometheus()));
+        assert_eq!(strip(&dense.prometheus()), strip(&interned.prometheus()));
     }
 
     #[test]
     fn prometheus_has_core_families() {
         let mut m = MetricsSink::new();
-        m.record(0, Loc::default(), 0);
+        m.rec(0);
         let text = m.prometheus();
         assert!(text.contains("pads_records_total 1"));
         assert!(text.contains("# TYPE pads_records_total counter"));
@@ -469,8 +449,8 @@ mod tests {
     #[test]
     fn prometheus_headers_precede_every_family() {
         let mut m = MetricsSink::new();
-        m.type_exit("t", Pos::default(), Pos { offset: 1, record: 0, byte: 1 }, &ParseDesc::default());
-        m.record(0, Loc::default(), 0);
+        m.ty("t", 1);
+        m.rec(0);
         let text = m.prometheus();
         for family in [
             "pads_records_total",
@@ -503,12 +483,7 @@ mod tests {
     #[test]
     fn escaping_of_type_names_is_pinned() {
         let mut m = MetricsSink::new();
-        m.type_exit(
-            "weird\"name\\with\nnasties",
-            Pos::default(),
-            Pos { offset: 3, record: 0, byte: 3 },
-            &ParseDesc::default(),
-        );
+        m.ty("weird\"name\\with\nnasties", 3);
         let prom = m.prometheus();
         assert!(
             prom.contains(r#"pads_type_hits_total{type="weird\"name\\with\nnasties"} 1"#),
@@ -524,15 +499,15 @@ mod tests {
     #[test]
     fn snapshot_restore_reproduces_counts_json() {
         let mut m = MetricsSink::new();
-        m.type_exit("b_t", Pos::default(), Pos { offset: 4, record: 0, byte: 4 }, &ParseDesc::default());
-        m.type_exit("a_t", Pos::default(), Pos { offset: 2, record: 0, byte: 2 }, &ParseDesc::default());
-        m.error("x", ErrorCode::LitMismatch, None);
-        m.error("x", ErrorCode::RangeError, None);
-        m.recovery(RecoveryEvent::PanicSkip { bytes: 7 }, Pos::default());
-        m.recovery(RecoveryEvent::SkipRecord, Pos::default());
-        m.recovery(RecoveryEvent::BudgetExhausted { mode: OnExhausted::Stop }, Pos::default());
-        m.record(0, Loc::default(), 1);
-        m.record(1, Loc::default(), 0);
+        m.ty("b_t", 4);
+        m.ty("a_t", 2);
+        m.err(ErrorCode::LitMismatch);
+        m.err(ErrorCode::RangeError);
+        m.recover(RecoveryEvent::PanicSkip { bytes: 7 });
+        m.recover(RecoveryEvent::SkipRecord);
+        m.recover(RecoveryEvent::BudgetExhausted { mode: OnExhausted::Stop });
+        m.rec(1);
+        m.rec(0);
         let restored = MetricsSink::restore(&m.snapshot()).expect("roundtrips");
         assert_eq!(restored.counts_json(), m.counts_json());
     }
@@ -557,7 +532,7 @@ mod tests {
     #[test]
     fn snapshot_with_empty_latency_histogram_roundtrips() {
         let mut m = MetricsSink::new();
-        m.record(0, Loc::default(), 0);
+        m.rec(0);
         let restored = MetricsSink::restore(&m.snapshot()).expect("roundtrips");
         assert_eq!(restored.counts_json(), m.counts_json());
         // The live sink counts the record even though no batch has been
@@ -575,15 +550,15 @@ mod tests {
     #[test]
     fn saturating_counters_survive_restore_and_merge() {
         let mut m = MetricsSink::new();
-        m.type_exit(
-            "t",
-            Pos::default(),
-            Pos { offset: 4, record: 0, byte: 4 },
-            &ParseDesc::default(),
-        );
-        m.core_mut().note_type("t", u64::MAX - 2, 0);
+        m.ty("t", 4);
+        // Drive bytes to the rail through a snapshot: patch the one
+        // per-type byte count (the 8 bytes after hits, at the tail).
+        let mut snap = m.snapshot();
+        let n = snap.len();
+        snap[n - 16..n - 8].copy_from_slice(&(u64::MAX - 2).to_le_bytes());
+        let mut m = MetricsSink::restore(&snap).expect("patched snapshot restores");
         let mut other = MetricsSink::new();
-        other.core_mut().note_type("t", 100, 0);
+        other.ty("t", 100);
         m.merge(&other);
         let types = m.types();
         assert_eq!(types[0].1.bytes, u64::MAX, "merge saturates");
@@ -599,8 +574,8 @@ mod tests {
     #[test]
     fn unknown_error_code_names_are_forward_compatible() {
         let mut m = MetricsSink::new();
-        m.error("p", ErrorCode::LitMismatch, None);
-        m.error("p", ErrorCode::LitMismatch, None);
+        m.err(ErrorCode::LitMismatch);
+        m.err(ErrorCode::LitMismatch);
         let snap = m.snapshot();
         // Hand-craft a payload replacing the code name "LitMismatch"
         // with an equal-length name no current variant has.
@@ -616,15 +591,15 @@ mod tests {
         assert!(restored.errors_by_code().is_empty(), "unknown code dropped from table");
         // And the restored sink keeps aggregating normally.
         let mut sink = restored;
-        sink.error("p", ErrorCode::RangeError, None);
+        sink.err(ErrorCode::RangeError);
         assert_eq!(sink.errors_total(), 3);
     }
 
     #[test]
     fn latency_samples_batch_but_count_every_record() {
         let mut m = MetricsSink::new();
-        for i in 0..(64 * 2 + 5) {
-            m.record(i, Loc::default(), 0);
+        for _ in 0..(64 * 2 + 5) {
+            m.rec(0);
         }
         // Two full batches sampled; 5 records still pending.
         let expect = format!("pads_record_latency_seconds_count {}", 64 * 2 + 5);

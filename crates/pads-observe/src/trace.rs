@@ -1,6 +1,11 @@
-//! The trace sink: a depth-bounded span tree showing exactly how a
-//! record was consumed — which types were tried, over which byte
-//! ranges, and what the recovery machinery did in between.
+//! The trace renderer: the span tree a [`MetricsCore`]'s trace recorded,
+//! showing exactly how a record was consumed — which types were tried,
+//! over which byte ranges, and what the recovery machinery did in
+//! between.
+//!
+//! The core records node ids and offsets
+//! ([`MetricsCore::with_trace`]); this module joins the names in and
+//! renders the tree as text or JSONL.
 //!
 //! Union backtracking means failed attempts appear too: a span whose
 //! descriptor is not ok is an alternative the engine tried and
@@ -9,8 +14,8 @@
 
 use std::fmt::Write as _;
 
-use pads_runtime::observe::{Observer, RecoveryEvent};
-use pads_runtime::{ErrorCode, Loc, ParseDesc, Pos};
+use pads_runtime::metrics::MetricsCore;
+use pads_runtime::observe::TraceEvent;
 
 use crate::util::esc;
 
@@ -66,47 +71,61 @@ pub struct Span {
     pub children: Vec<Node>,
 }
 
-/// A pending span (entered, not yet exited). `None` marks an
-/// unrecorded frame — beyond the depth/span bounds — kept on the stack
-/// only so enter/exit stay balanced.
-#[derive(Debug)]
-struct Open(Option<Span>);
-
-/// An [`Observer`] that collects a depth- and size-bounded trace tree.
-#[derive(Debug)]
+/// A recorded trace as a tree of [`Node`]s, ready to render.
+#[derive(Debug, Default)]
 pub struct TraceSink {
-    max_depth: usize,
-    max_spans: usize,
-    total_spans: usize,
     truncated: u64,
-    stack: Vec<Open>,
     roots: Vec<Node>,
 }
 
-impl Default for TraceSink {
-    fn default() -> TraceSink {
-        TraceSink::new()
-    }
-}
-
 impl TraceSink {
-    /// Default bounds: depth 8, 10 000 spans.
-    pub fn new() -> TraceSink {
-        TraceSink::with_bounds(8, 10_000)
-    }
-
-    /// Creates a sink keeping spans down to `max_depth` nesting levels
-    /// and at most `max_spans` spans overall; deeper or later spans are
-    /// counted but not stored.
-    pub fn with_bounds(max_depth: usize, max_spans: usize) -> TraceSink {
-        TraceSink {
-            max_depth: max_depth.max(1),
-            max_spans,
-            total_spans: 0,
-            truncated: 0,
-            stack: Vec::new(),
-            roots: Vec::new(),
+    /// Builds the tree from `core`'s recorded trace (empty when tracing
+    /// was off), naming each span through the core's node table. Spans
+    /// still open at the end of the log are not included.
+    pub fn from_core(core: &MetricsCore) -> TraceSink {
+        let Some(log) = core.trace() else {
+            return TraceSink::default();
+        };
+        let mut open: Vec<Span> = Vec::new();
+        let mut roots = Vec::new();
+        for event in log.events() {
+            let node = match event {
+                &TraceEvent::Enter { node, offset } => {
+                    open.push(Span {
+                        name: core.node_name(node).unwrap_or("?").to_owned(),
+                        start: offset,
+                        end: offset,
+                        nerr: 0,
+                        ok: true,
+                        children: Vec::new(),
+                    });
+                    continue;
+                }
+                &TraceEvent::Exit { end, nerr, .. } => {
+                    let Some(mut span) = open.pop() else { continue };
+                    span.end = end;
+                    span.nerr = nerr;
+                    span.ok = nerr == 0;
+                    Node::Span(span)
+                }
+                TraceEvent::Error { path, code, loc } => Node::Error {
+                    path: path.clone(),
+                    code: code.name(),
+                    offset: loc.map(|(begin, _)| begin),
+                },
+                TraceEvent::Recovery { event, offset } => {
+                    Node::Recovery { what: format!("{event:?}"), offset: *offset }
+                }
+                &TraceEvent::Record { index, start, end, nerr } => {
+                    Node::Record { index, start, end, nerr }
+                }
+            };
+            match open.last_mut() {
+                Some(parent) => parent.children.push(node),
+                None => roots.push(node),
+            }
         }
+        TraceSink { truncated: log.truncated(), roots }
     }
 
     /// Spans dropped because of the depth/size bounds.
@@ -114,21 +133,9 @@ impl TraceSink {
         self.truncated
     }
 
-    /// The collected top-level nodes (valid once the parse is done; any
-    /// still-open spans are not included).
+    /// The top-level nodes.
     pub fn roots(&self) -> &[Node] {
         &self.roots
-    }
-
-    fn push(&mut self, node: Node) {
-        // Attach to the innermost recorded open span, or to the roots.
-        for open in self.stack.iter_mut().rev() {
-            if let Open(Some(span)) = open {
-                span.children.push(node);
-                return;
-            }
-        }
-        self.roots.push(node);
     }
 
     /// Renders the tree as indented text, one node per line.
@@ -222,75 +229,20 @@ impl TraceSink {
     }
 }
 
-impl Observer for TraceSink {
-    fn type_enter(&mut self, name: &str, pos: Pos) {
-        let parent_recorded = self.stack.last().is_none_or(|o| o.0.is_some());
-        let record = parent_recorded
-            && self.stack.len() < self.max_depth
-            && self.total_spans < self.max_spans;
-        if record {
-            self.total_spans += 1;
-            self.stack.push(Open(Some(Span {
-                name: name.to_owned(),
-                start: pos.offset,
-                end: pos.offset,
-                nerr: 0,
-                ok: true,
-                children: Vec::new(),
-            })));
-        } else {
-            self.truncated += 1;
-            self.stack.push(Open(None));
-        }
-    }
-
-    fn type_exit(&mut self, _name: &str, _start: Pos, end: Pos, pd: &ParseDesc) {
-        if let Some(Open(Some(mut span))) = self.stack.pop() {
-            span.end = end.offset;
-            span.nerr = pd.nerr;
-            span.ok = pd.is_ok();
-            self.push(Node::Span(span));
-        }
-    }
-
-    fn error(&mut self, path: &str, code: ErrorCode, loc: Option<Loc>) {
-        self.push(Node::Error {
-            path: path.to_owned(),
-            code: code.name(),
-            offset: loc.map(|l| l.begin.offset),
-        });
-    }
-
-    fn recovery(&mut self, event: RecoveryEvent, pos: Pos) {
-        self.push(Node::Recovery { what: format!("{event:?}"), offset: pos.offset });
-    }
-
-    fn record(&mut self, index: usize, span: Loc, nerr: u32) {
-        self.push(Node::Record {
-            index,
-            start: span.begin.offset,
-            end: span.end.offset,
-            nerr,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pos(offset: usize) -> Pos {
-        Pos { offset, record: 0, byte: offset }
-    }
+    use pads_runtime::ParseDesc;
 
     #[test]
     fn spans_nest_and_render() {
-        let mut t = TraceSink::new();
-        t.type_enter("outer_t", pos(0));
-        t.type_enter("inner_t", pos(0));
-        t.type_exit("inner_t", pos(0), pos(4), &ParseDesc::default());
-        t.record(0, Loc::new(pos(0), pos(5)), 0);
-        t.type_exit("outer_t", pos(0), pos(5), &ParseDesc::default());
+        let mut m = MetricsCore::with_names(["outer_t", "inner_t"]).with_trace(8, 10_000);
+        m.enter_id(0, "outer_t", 0);
+        m.enter_id(1, "inner_t", 0);
+        m.exit_id(1, "inner_t", 0, 4, 0);
+        m.close_record(&ParseDesc::default(), 0, 0, 5);
+        m.exit_id(0, "outer_t", 0, 5, 0);
+        let t = TraceSink::from_core(&m);
         assert_eq!(t.roots().len(), 1);
         let text = t.render();
         assert!(text.contains("outer_t [0..5) ok"), "{text}");
@@ -302,11 +254,12 @@ mod tests {
 
     #[test]
     fn depth_bound_truncates_but_stays_balanced() {
-        let mut t = TraceSink::with_bounds(1, 100);
-        t.type_enter("a", pos(0));
-        t.type_enter("b", pos(0)); // beyond depth 1 — dropped
-        t.type_exit("b", pos(0), pos(1), &ParseDesc::default());
-        t.type_exit("a", pos(0), pos(1), &ParseDesc::default());
+        let mut m = MetricsCore::with_names(["a", "b"]).with_trace(1, 100);
+        m.enter_id(0, "a", 0);
+        m.enter_id(1, "b", 0); // beyond depth 1 — dropped
+        m.exit_id(1, "b", 0, 1, 0);
+        m.exit_id(0, "a", 0, 1, 0);
+        let t = TraceSink::from_core(&m);
         assert_eq!(t.truncated(), 1);
         assert_eq!(t.roots().len(), 1);
         assert!(t.render().contains("not shown"));
@@ -314,12 +267,20 @@ mod tests {
 
     #[test]
     fn span_cap_stops_recording() {
-        let mut t = TraceSink::with_bounds(8, 1);
+        let mut m = MetricsCore::with_names(["x"]).with_trace(8, 1);
         for i in 0..3 {
-            t.type_enter("x", pos(i));
-            t.type_exit("x", pos(i), pos(i + 1), &ParseDesc::default());
+            m.enter_id(0, "x", i);
+            m.exit_id(0, "x", i, i + 1, 0);
         }
+        let t = TraceSink::from_core(&m);
         assert_eq!(t.roots().len(), 1);
         assert_eq!(t.truncated(), 2);
+    }
+
+    #[test]
+    fn a_core_without_a_trace_renders_nothing() {
+        let t = TraceSink::from_core(&MetricsCore::new());
+        assert!(t.roots().is_empty());
+        assert_eq!(t.render(), "");
     }
 }

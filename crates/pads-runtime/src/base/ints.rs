@@ -17,9 +17,6 @@ use crate::io::Cursor;
 use crate::prim::{Prim, PrimKind};
 use crate::scan::{skip_class, ClassBitmap};
 
-/// ASCII `0`..`9` (bits 48–57 of word 0).
-const DIGITS: ClassBitmap = ClassBitmap::from_bits([0x03FF_0000_0000_0000, 0, 0, 0]);
-
 /// Which coding a textual integer type uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Coding {
@@ -170,7 +167,7 @@ fn parse_variable(cur: &mut Cursor<'_>, cs: Charset, signed: bool) -> Result<i12
                 _ => {}
             }
         }
-        let n = skip_class(&rest[at..], &DIGITS);
+        let n = skip_class(&rest[at..], &ClassBitmap::ASCII_DIGITS);
         if n == 0 {
             cur.advance(at);
             return Err(ErrorCode::InvalidDigit);

@@ -11,9 +11,6 @@ use crate::io::Cursor;
 use crate::prim::{Prim, PrimKind};
 use crate::scan::{find_literal, skip_class, ClassBitmap};
 
-/// ASCII `0`..`9` (bits 48–57 of word 0).
-const DIGITS: ClassBitmap = ClassBitmap::from_bits([0x03FF_0000_0000_0000, 0, 0, 0]);
-
 /// Hostname label bytes `[A-Za-z0-9.-]`: `-` (45), `.` (46), digits in
 /// word 0; upper- and lowercase letters in word 1.
 const HOST_CHARS: ClassBitmap =
@@ -47,7 +44,7 @@ impl BaseType for IpBase {
                     }
                     at += 1;
                 }
-                let n = skip_class(&rest[at..], &DIGITS).min(3);
+                let n = skip_class(&rest[at..], &ClassBitmap::ASCII_DIGITS).min(3);
                 if n == 0 {
                     return Err(ErrorCode::BadIp);
                 }
@@ -294,14 +291,14 @@ struct ZipBase;
 /// cursor short of where the byte loop would — callers restore on failure.
 fn zip_ascii<'d>(cur: &mut Cursor<'d>) -> Result<&'d str, ErrorCode> {
     let rest = cur.rest();
-    let run = skip_class(rest, &DIGITS);
+    let run = skip_class(rest, &ClassBitmap::ASCII_DIGITS);
     if run != 5 {
         return Err(ErrorCode::BadZip);
     }
     let mut len = 5;
     // Optional +4 extension: a `-` followed by exactly four digits.
     if rest.get(5) == Some(&b'-') {
-        let ext = skip_class(&rest[6..], &DIGITS);
+        let ext = skip_class(&rest[6..], &ClassBitmap::ASCII_DIGITS);
         if ext >= 1 {
             if ext != 4 {
                 return Err(ErrorCode::BadZip);

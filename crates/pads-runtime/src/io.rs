@@ -21,7 +21,7 @@ use crate::cache::KeyedCache;
 use crate::encoding::{Charset, Endian};
 use crate::error::{ErrorCode, Loc, Pos};
 use crate::metrics::MetricsHandle;
-use crate::observe::{ObsHandle, RecoveryEvent};
+use crate::observe::RecoveryEvent;
 use crate::pd::ParseDesc;
 use crate::recovery::{ErrorBudget, OnExhausted, RecoveryPolicy};
 use crate::scan;
@@ -98,14 +98,12 @@ pub struct Cursor<'a> {
     regexes: RegexCache,
     policy: RecoveryPolicy,
     budget: ErrorBudget,
-    obs: Option<ObsHandle>,
-    /// Dense-id metrics core; clones of the cursor share it. Separate
-    /// from `obs` so the metrics hot path is a slab bump, not a dynamic
-    /// dispatch — see [`crate::metrics`].
+    /// Dense-id metrics core, the only observation attachment; clones of
+    /// the cursor share it — see [`crate::metrics`].
     core: Option<MetricsHandle>,
-    /// Cached at attach time: the core's profiler needs the full
+    /// Cached at attach time: the core's profiler or trace needs the full
     /// enter/exit stream, so event-eliding fast paths must stand down.
-    core_profiled: bool,
+    core_events: bool,
 }
 
 impl<'a> Cursor<'a> {
@@ -125,9 +123,8 @@ impl<'a> Cursor<'a> {
             regexes: new_regex_cache(),
             policy: RecoveryPolicy::default(),
             budget: ErrorBudget::new(),
-            obs: None,
             core: None,
-            core_profiled: false,
+            core_events: false,
         }
     }
 
@@ -169,22 +166,13 @@ impl<'a> Cursor<'a> {
         self
     }
 
-    /// Attaches an observer that will receive parse events (builder
-    /// style). Clones of the cursor share the same observer.
-    pub fn with_observer(mut self, obs: ObsHandle) -> Cursor<'a> {
-        self.obs = Some(obs);
-        self
-    }
-
     /// Attaches a dense-id metrics core (builder style). Clones of the
-    /// cursor share the same core. Unlike [`with_observer`], events feed
-    /// flat counter slabs by node id — the metrics hot path — and a
-    /// core-only cursor keeps the generated event-eliding fast paths
-    /// (unless the core is profiling, which needs every event).
-    ///
-    /// [`with_observer`]: Cursor::with_observer
+    /// cursor share the same core. Events feed flat counter slabs by node
+    /// id — the metrics hot path — and a counting core keeps the
+    /// generated event-eliding fast paths (unless the core is profiling
+    /// or tracing, which need every event).
     pub fn with_metrics(mut self, core: MetricsHandle) -> Cursor<'a> {
-        self.core_profiled = core.borrow().profiling();
+        self.core_events = core.borrow().needs_events();
         self.core = Some(core);
         self
     }
@@ -234,24 +222,14 @@ impl<'a> Cursor<'a> {
         if panic_skipped > 0 || exhausted_now {
             if let Some(core) = &self.core {
                 let mut c = core.borrow_mut();
+                let offset = self.offset();
                 if panic_skipped > 0 {
-                    c.note_recovery(RecoveryEvent::PanicSkip { bytes: panic_skipped });
+                    c.note_recovery(RecoveryEvent::PanicSkip { bytes: panic_skipped }, offset);
                 }
                 if exhausted_now {
-                    c.note_recovery(RecoveryEvent::BudgetExhausted {
-                        mode: self.policy.on_exhausted,
-                    });
+                    let mode = self.policy.on_exhausted;
+                    c.note_recovery(RecoveryEvent::BudgetExhausted { mode }, offset);
                 }
-            }
-        }
-        if let Some(obs) = &self.obs {
-            let pos = self.position();
-            if panic_skipped > 0 {
-                obs.with(|o| o.recovery(RecoveryEvent::PanicSkip { bytes: panic_skipped }, pos));
-            }
-            if exhausted_now {
-                let mode = self.policy.on_exhausted;
-                obs.with(|o| o.recovery(RecoveryEvent::BudgetExhausted { mode }, pos));
             }
         }
     }
@@ -261,82 +239,53 @@ impl<'a> Cursor<'a> {
     pub fn note_skipped_record(&mut self) {
         self.budget.note_skipped_record();
         if let Some(core) = &self.core {
-            core.borrow_mut().note_recovery(RecoveryEvent::SkipRecord);
-        }
-        if let Some(obs) = &self.obs {
-            let pos = self.position();
-            obs.with(|o| o.recovery(RecoveryEvent::SkipRecord, pos));
+            core.borrow_mut().note_recovery(RecoveryEvent::SkipRecord, self.offset());
         }
     }
 
-    /// Whether any observation is attached (full event stream or dense
-    /// metrics core). Hot paths test this once and skip event
-    /// construction entirely when it is false.
+    /// Whether a metrics core is attached. Hot paths test this once and
+    /// skip event construction entirely when it is false.
     #[inline]
     pub fn observing(&self) -> bool {
-        self.obs.is_some() || self.core.is_some()
+        self.core.is_some()
     }
 
-    /// Whether the attached observation needs the *full* enter/exit event
-    /// stream: a legacy observer is present, or the metrics core is
-    /// profiling. Generated event-eliding fast paths (fixed-prefix
-    /// commits) gate on this rather than [`observing`](Cursor::observing):
-    /// a plain counting core can be fed statically-known per-type bumps
-    /// without the events themselves.
+    /// Whether the attached core needs the *full* enter/exit event stream
+    /// (it is profiling or tracing). Generated event-eliding fast paths
+    /// (fixed-prefix commits) gate on this rather than
+    /// [`observing`](Cursor::observing): a plain counting core can be fed
+    /// statically-known per-type bumps without the events themselves.
     #[inline]
     pub fn observing_events(&self) -> bool {
-        self.obs.is_some() || self.core_profiled
+        self.core_events
     }
 
-    /// Whether a dense metrics core is attached.
+    /// Whether a dense metrics core is attached; the same test as
+    /// [`observing`](Cursor::observing).
     #[inline]
     pub fn metrics_on(&self) -> bool {
         self.core.is_some()
     }
 
-    /// Emits a type-enter event at the current position.
-    #[inline]
-    pub fn observe_enter(&self, name: &str) {
-        self.observe_enter_id(u32::MAX, name);
-    }
-
     /// Emits a type-enter event at the current position, identifying the
-    /// type by dense node id (see [`crate::metrics::ObsSchema`]) as well
-    /// as by name — the id feeds the metrics core's flat slabs, the name
-    /// feeds legacy observers (borrowed, never allocated). An id the
-    /// core does not trust falls back to interning the name.
+    /// type by dense node id (see [`crate::metrics::ObsSchema`]). The name
+    /// is borrowed, never allocated: a core that does not trust the id
+    /// falls back to interning it.
     #[inline]
     pub fn observe_enter_id(&self, id: u32, name: &str) {
-        if self.core_profiled {
+        if self.core_events {
             if let Some(core) = &self.core {
                 core.borrow_mut().enter_id(id, name, self.offset());
             }
         }
-        if let Some(obs) = &self.obs {
-            let pos = self.position();
-            obs.with(|o| o.type_enter(name, pos));
-        }
     }
 
     /// Emits a type-exit event for a parse entered at `start` whose final
-    /// descriptor is `pd`.
-    #[inline]
-    pub fn observe_exit(&self, name: &str, start: Pos, pd: &ParseDesc) {
-        self.observe_exit_id(u32::MAX, name, start, pd);
-    }
-
-    /// Emits a type-exit event, identifying the type by dense node id as
-    /// well as by name — the metrics hot path (one counter-slab bump on
-    /// the core, no string work).
+    /// descriptor is `pd` — the metrics hot path (one counter-slab bump
+    /// on the core, no string work).
     #[inline]
     pub fn observe_exit_id(&self, id: u32, name: &str, start: Pos, pd: &ParseDesc) {
-        if let Some(core) = &self.core {
-            core.borrow_mut().exit_id(id, name, start.offset, self.offset(), pd.nerr);
-        }
-        if let Some(obs) = &self.obs {
-            let end = self.position();
-            obs.with(|o| o.type_exit(name, start, end, pd));
-        }
+        self.metrics_exit(id, name, start.offset, pd);
     }
 
     /// The counting-only exit hook: one slab bump on the metrics core,
@@ -373,10 +322,7 @@ impl<'a> Cursor<'a> {
     #[inline]
     pub fn observe_error(&self, path: &str, code: ErrorCode, loc: Option<Loc>) {
         if let Some(core) = &self.core {
-            core.borrow_mut().note_error(code);
-        }
-        if let Some(obs) = &self.obs {
-            obs.with(|o| o.error(path, code, loc));
+            core.borrow_mut().source_error(path, code, loc);
         }
     }
 
@@ -384,29 +330,10 @@ impl<'a> Cursor<'a> {
     /// descriptor error for a record that just closed (or was skipped
     /// wholesale). Both engines call this from their record-close paths
     /// after truncation, so the event streams agree by construction.
-    ///
-    /// The metrics core is fed through the allocation-free
-    /// [`ParseDesc::visit_error_codes`] walk (codes only — it never
-    /// builds path strings); legacy observers still receive the full
-    /// `(path, code, loc)` triples.
     pub fn observe_record_close(&self, pd: &ParseDesc) {
-        let end = self.position();
-        let index = self.rec_index.saturating_sub(1);
-        let begin = Pos { offset: self.rec_start, record: index, byte: 0 };
         if let Some(core) = &self.core {
-            let mut c = core.borrow_mut();
-            if pd.nerr > 0 {
-                pd.visit_error_codes(&mut |code| c.note_error(code));
-            }
-            c.note_record(end.offset.saturating_sub(begin.offset) as u64, pd.nerr);
-        }
-        if let Some(obs) = &self.obs {
-            obs.with(|o| {
-                for (path, code, loc) in pd.errors() {
-                    o.error(&path, code, loc);
-                }
-                o.record(index, Loc::new(begin, end), pd.nerr);
-            });
+            let index = self.rec_index.saturating_sub(1);
+            core.borrow_mut().close_record(pd, index, self.rec_start, self.offset());
         }
     }
 

@@ -18,11 +18,12 @@
 //! * [`recovery`] — error budgets and graceful-degradation policies
 //!   (the `Pmax_errs` / `Perror_rep` discipline);
 //! * [`fault`] — deterministic fault injection for adversarial testing;
-//! * [`observe`] — the [`observe::Observer`] hook both engines emit
-//!   parse events to (sinks live in the `pads-observe` crate);
-//! * [`metrics`] — the dense-ID, `Send`-able [`metrics::MetricsCore`]
-//!   counter slabs behind the metrics hot path, plus the per-node cost
-//!   profiler;
+//! * [`observe`] — the parse-event vocabulary both engines emit and the
+//!   bounded span-trace recorder;
+//! * [`metrics`] — the dense-ID, `Send`-able [`metrics::MetricsCore`],
+//!   the one observation attachment: counter slabs behind the metrics hot
+//!   path, plus the per-node cost profiler and the span trace
+//!   (renderers live in the `pads-observe` crate);
 //! * [`summary`] — bounded-memory histograms and quantile estimates;
 //! * [`cache`] — the bounded LRU [`cache::KeyedCache`] behind the
 //!   compiled-regex and VM program caches.
@@ -78,7 +79,7 @@ pub use io::{Cursor, RecordDiscipline};
 pub use mask::{BaseMask, Mask};
 pub use metrics::{MetricsCore, MetricsHandle, ObsSchema, TypeStat, WorkerObs};
 pub use name::Name;
-pub use observe::{ObsHandle, Observer, RecoveryEvent};
+pub use observe::{RecoveryEvent, TraceEvent, TraceLog};
 pub use par::{
     plan_shards, run_sharded, Progress, RecordMsg, ResumePoint, Shard, ShardPlan, ShardSender,
     DEFAULT_MAX_INFLIGHT,

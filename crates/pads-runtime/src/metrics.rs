@@ -1,7 +1,7 @@
 //! The dense-ID observability core: flat, `Send`-able parse counters.
 //!
-//! The original metrics path routed every `type_enter`/`type_exit` through
-//! an `Rc<RefCell<dyn Observer>>` into a `BTreeMap<String, TypeStat>` —
+//! An early metrics path routed every type enter/exit through a
+//! dynamically dispatched observer into a `BTreeMap<String, TypeStat>` —
 //! a string lookup per event, which cost 40–50% on generated parsers.
 //! This module pre-resolves the lookups the way the ASF+SDF compiler
 //! resolves interpreted names: a per-schema [`ObsSchema`] interning table
@@ -13,16 +13,19 @@
 //! shard crosses threads freely, and the shard merge folds them in order
 //! ([`MetricsCore::merge`] is exact and order-independent for counters).
 //! The `Rc<RefCell<..>>` only appears in [`MetricsHandle`], the thin
-//! single-threaded adapter a [`Cursor`](crate::io::Cursor) holds; the
-//! legacy [`Observer`](crate::observe::Observer) trait remains as a
-//! compatibility surface for sinks that want the full event stream
-//! (traces, event logs).
+//! single-threaded adapter a [`Cursor`](crate::io::Cursor) holds. The
+//! core is the cursor's only observation attachment.
 //!
-//! On top of the dense ids sits an opt-in per-schema-node cost profiler
-//! ([`MetricsCore::with_profile`]): byte attribution per node (self vs
-//! cumulative, recursion-safe), error density, batched-clock time
-//! sampling, and folded-stack output consumable by `inferno` /
-//! flamegraph tooling.
+//! On top of the dense ids sit two opt-in consumers of the full
+//! enter/exit stream, both behind the one `Option` the counting fast path
+//! tests:
+//!
+//! * a per-schema-node cost profiler ([`MetricsCore::with_profile`]):
+//!   byte attribution per node (self vs cumulative, recursion-safe),
+//!   error density, batched-clock time sampling, and folded-stack output
+//!   consumable by `inferno` / flamegraph tooling;
+//! * a bounded span trace ([`MetricsCore::with_trace`]): the event log
+//!   `pads parse --trace` renders, see [`crate::observe`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -30,10 +33,11 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
 
-use crate::error::ErrorCode;
-use crate::observe::{ObsHandle, RecoveryEvent};
+use crate::error::{ErrorCode, Loc};
+use crate::observe::{RecoveryEvent, TraceEvent, TraceLog};
+use crate::pd::ParseDesc;
 use crate::recovery::OnExhausted;
-use crate::summary::{Histogram, Quantiles};
+use crate::summary::Quantiles;
 
 /// Number of error-code slots in the dense per-code counter slab.
 const NCODES: usize = ErrorCode::ALL.len();
@@ -67,13 +71,23 @@ pub struct TypeStat {
     pub errors: u64,
 }
 
+impl TypeStat {
+    /// Folds `other` in, saturating at `u64::MAX`.
+    #[inline(always)]
+    fn add(&mut self, other: TypeStat) {
+        self.hits = self.hits.saturating_add(other.hits);
+        self.bytes = self.bytes.saturating_add(other.bytes);
+        self.errors = self.errors.saturating_add(other.errors);
+    }
+}
+
 /// The per-schema interning table mapping named types to dense node ids.
 ///
 /// Built once — from the checked schema's type list (interpreter) or a
 /// generated module's static `OBS_TYPES` table — so ids coincide with the
 /// engine's own type indices and the hot path never touches a string.
-/// Names not present can still be interned lazily (the legacy
-/// name-keyed [`Observer`](crate::observe::Observer) compatibility path).
+/// Names not present can still be interned lazily (cores built without a
+/// name table, and restored or merged cores, key by name).
 #[derive(Debug, Clone, Default)]
 pub struct ObsSchema {
     names: Vec<String>,
@@ -121,13 +135,13 @@ impl ObsSchema {
     }
 }
 
-/// The `Send`-able aggregation core behind every metrics surface: flat
-/// dense-id counter slabs plus latency summaries and an optional
-/// per-node cost profiler.
+/// The `Send`-able aggregation core behind every observation surface:
+/// flat dense-id counter slabs plus a latency summary, an optional
+/// per-node cost profiler and an optional span trace.
 ///
 /// Counters are exact and deterministic for a given input; timings
 /// (latency, the throughput clock) are wall-clock state and are excluded
-/// from [`snapshot`](Self::snapshot) and from merge folding.
+/// from [`snapshot`](Self::snapshot).
 #[derive(Debug, Clone)]
 pub struct MetricsCore {
     schema: ObsSchema,
@@ -149,11 +163,20 @@ pub struct MetricsCore {
     budget_exhausted: [u64; 3],
     start: Instant,
     last_record: Instant,
-    latency_us: Histogram,
     latency_q: Quantiles,
+    /// Records counted by the latency summary, sampled or not.
+    latency_records: u64,
     /// Records closed since the last latency sample was taken.
     batch_pending: u32,
-    profile: Option<Box<ProfileCore>>,
+    events: Option<Box<EventSinks>>,
+}
+
+/// The consumers of the full enter/exit stream, behind the one `Option`
+/// the counting fast path tests.
+#[derive(Debug, Clone, Default)]
+struct EventSinks {
+    profile: Option<ProfileCore>,
+    trace: Option<TraceLog>,
 }
 
 fn budget_mode_index(mode: OnExhausted) -> usize {
@@ -196,10 +219,10 @@ impl MetricsCore {
             budget_exhausted: [0; 3],
             start: now,
             last_record: now,
-            latency_us: Histogram::new(32),
             latency_q: Quantiles::new(1024, 42),
+            latency_records: 0,
             batch_pending: 0,
-            profile: None,
+            events: None,
         }
     }
 
@@ -229,14 +252,38 @@ impl MetricsCore {
 
     /// Enables profiling in place; see [`with_profile`](Self::with_profile).
     pub fn enable_profile(&mut self) {
-        if self.profile.is_none() {
-            self.profile = Some(Box::new(ProfileCore::new()));
-        }
+        let ev = self.events.get_or_insert_with(Box::default);
+        ev.profile.get_or_insert_with(ProfileCore::default);
     }
 
-    /// Whether the per-node profiler is collecting.
-    pub fn profiling(&self) -> bool {
-        self.profile.is_some()
+    /// Enables the span trace, keeping spans down to `max_depth` nesting
+    /// levels and at most `max_spans` spans (see [`TraceLog`]). Like the
+    /// profiler, it needs the full event stream.
+    pub fn with_trace(mut self, max_depth: usize, max_spans: usize) -> MetricsCore {
+        self.enable_trace(max_depth, max_spans);
+        self
+    }
+
+    /// Enables the span trace in place; see [`with_trace`](Self::with_trace).
+    pub fn enable_trace(&mut self, max_depth: usize, max_spans: usize) {
+        let ev = self.events.get_or_insert_with(Box::default);
+        ev.trace.get_or_insert_with(|| TraceLog::new(max_depth, max_spans));
+    }
+
+    /// Whether the profiler or the trace is on: both need every
+    /// enter/exit event, so event-eliding fast paths must stand down.
+    pub fn needs_events(&self) -> bool {
+        self.events.is_some()
+    }
+
+    /// The recorded span trace, or `None` when tracing was off.
+    pub fn trace(&self) -> Option<&TraceLog> {
+        self.events.as_ref()?.trace.as_ref()
+    }
+
+    /// The type name behind node id `id`, if assigned.
+    pub fn node_name(&self, id: u32) -> Option<&str> {
+        self.schema.name(id)
     }
 
     /// Wraps this core in a [`MetricsHandle`] for attachment to a cursor.
@@ -244,92 +291,69 @@ impl MetricsCore {
         Rc::new(RefCell::new(self))
     }
 
-    fn node_mut(&mut self, id: u32, name: &str) -> &mut TypeStat {
-        let idx = if self.trust_ids && (id as usize) < self.nodes.len() {
-            id as usize
+    /// The slab index for an event naming node `id` / `name`: the id
+    /// itself when trusted, else the name's interned id (growing the slab).
+    fn resolve(&mut self, id: u32, name: &str) -> u32 {
+        if self.trust_ids && (id as usize) < self.nodes.len() {
+            id
         } else {
-            let idx = self.schema.intern(name) as usize;
-            if idx >= self.nodes.len() {
-                self.nodes.resize(idx + 1, TypeStat::default());
-            }
-            idx
-        };
-        &mut self.nodes[idx]
+            self.intern_node(name)
+        }
     }
 
-    /// A named type's parse began at `offset` — only the profiler cares.
-    /// The cursor skips the call entirely when profiling is off.
+    /// The slab index for `name`, interning it (and growing the slab).
+    fn intern_node(&mut self, name: &str) -> u32 {
+        let idx = self.schema.intern(name);
+        if idx as usize >= self.nodes.len() {
+            self.nodes.resize(idx as usize + 1, TypeStat::default());
+        }
+        idx
+    }
+
+    /// A named type's parse began at `offset` — only the profiler and the
+    /// trace care. The cursor skips the call entirely when both are off.
     #[inline]
     pub fn enter_id(&mut self, id: u32, name: &str, offset: usize) {
-        // Resolve through node_mut so untrusted ids intern consistently
-        // with the exit path (and `active` tracking stays id-aligned).
-        let idx = {
-            let _ = self.node_mut(id, name);
-            if self.trust_ids && (id as usize) < self.nodes.len() {
-                id
-            } else {
-                self.schema.intern(name)
+        let idx = self.resolve(id, name);
+        if let Some(ev) = &mut self.events {
+            if let Some(p) = &mut ev.profile {
+                p.enter(idx, offset);
             }
-        };
-        if let Some(p) = &mut self.profile {
-            p.enter(idx, offset);
+            if let Some(t) = &mut ev.trace {
+                t.enter(idx, offset);
+            }
         }
     }
 
     /// A named type's parse finished: `[start_off, end_off)` with `nerr`
     /// descriptor errors. The dense hot path — one slab bump. The body is
-    /// kept to the trusted-id, non-profiling bump so it inlines into the
-    /// generated call sites; interning and profiling are outlined.
+    /// kept to the trusted-id bump with no profiler or trace so it
+    /// inlines into the generated call sites; the rest is outlined.
     #[inline(always)]
     pub fn exit_id(&mut self, id: u32, name: &str, start_off: usize, end_off: usize, nerr: u32) {
-        let bytes = end_off.saturating_sub(start_off) as u64;
-        if self.trust_ids && (id as usize) < self.nodes.len() && self.profile.is_none() {
-            let t = &mut self.nodes[id as usize];
-            t.hits = t.hits.saturating_add(1);
-            t.bytes = t.bytes.saturating_add(bytes);
-            t.errors = t.errors.saturating_add(u64::from(nerr));
+        if self.trust_ids && (id as usize) < self.nodes.len() && self.events.is_none() {
+            let bytes = end_off.saturating_sub(start_off) as u64;
+            self.nodes[id as usize].add(TypeStat { hits: 1, bytes, errors: u64::from(nerr) });
         } else {
-            self.exit_id_slow(id, name, bytes, end_off, nerr);
+            self.exit_id_slow(id, name, start_off, end_off, nerr);
         }
     }
 
     /// The outlined remainder of [`exit_id`](Self::exit_id): untrusted-id
-    /// interning and the profiler's frame pop.
+    /// interning, the profiler's frame pop and the trace's exit.
     #[inline(never)]
-    fn exit_id_slow(&mut self, id: u32, name: &str, bytes: u64, end_off: usize, nerr: u32) {
-        let resolved = if self.trust_ids && (id as usize) < self.nodes.len() {
-            id
-        } else {
-            let idx = self.schema.intern(name);
-            if idx as usize >= self.nodes.len() {
-                self.nodes.resize(idx as usize + 1, TypeStat::default());
+    fn exit_id_slow(&mut self, id: u32, name: &str, start_off: usize, end_off: usize, nerr: u32) {
+        let idx = self.resolve(id, name);
+        let bytes = end_off.saturating_sub(start_off) as u64;
+        self.nodes[idx as usize].add(TypeStat { hits: 1, bytes, errors: u64::from(nerr) });
+        if let Some(ev) = &mut self.events {
+            if let Some(p) = &mut ev.profile {
+                p.exit(idx, end_off, nerr);
             }
-            idx
-        };
-        let t = &mut self.nodes[resolved as usize];
-        t.hits = t.hits.saturating_add(1);
-        t.bytes = t.bytes.saturating_add(bytes);
-        t.errors = t.errors.saturating_add(u64::from(nerr));
-        if let Some(p) = &mut self.profile {
-            p.exit(resolved, end_off, nerr);
+            if let Some(t) = &mut ev.trace {
+                t.exit(idx, start_off, end_off, nerr);
+            }
         }
-    }
-
-    /// Name-keyed compatibility entry for the legacy [`Observer`]
-    /// (`type_exit`) path: interns the name, then bumps the slab.
-    ///
-    /// [`Observer`]: crate::observe::Observer
-    pub fn note_type(&mut self, name: &str, bytes: u64, nerr: u32) {
-        let t = {
-            let idx = self.schema.intern(name) as usize;
-            if idx >= self.nodes.len() {
-                self.nodes.resize(idx + 1, TypeStat::default());
-            }
-            &mut self.nodes[idx]
-        };
-        t.hits = t.hits.saturating_add(1);
-        t.bytes = t.bytes.saturating_add(bytes);
-        t.errors = t.errors.saturating_add(u64::from(nerr));
     }
 
     /// Counts one descriptor error, by dense code index.
@@ -341,8 +365,21 @@ impl MetricsCore {
         }
     }
 
-    /// Counts one recovery event.
-    pub fn note_recovery(&mut self, event: RecoveryEvent) {
+    /// A source-level error (a root error such as `ExtraDataAtEof`,
+    /// attached outside any record) at `path`.
+    pub fn source_error(&mut self, path: &str, code: ErrorCode, loc: Option<Loc>) {
+        self.note_error(code);
+        if let Some(t) = self.trace_mut() {
+            t.push(TraceEvent::Error {
+                path: path.to_owned(),
+                code,
+                loc: loc.map(|l| (l.begin.offset, l.end.offset)),
+            });
+        }
+    }
+
+    /// Counts one recovery event, which completed at `offset`.
+    pub fn note_recovery(&mut self, event: RecoveryEvent, offset: usize) {
         match event {
             RecoveryEvent::PanicSkip { bytes } => {
                 self.panic_skip_events = self.panic_skip_events.saturating_add(1);
@@ -356,6 +393,31 @@ impl MetricsCore {
                 *n = n.saturating_add(1);
             }
         }
+        if let Some(t) = self.trace_mut() {
+            t.push(TraceEvent::Recovery { event, offset });
+        }
+    }
+
+    /// Record `index`, covering `[start, end)`, closed (or was skipped)
+    /// with descriptor `pd`: one error per descriptor error, then the
+    /// record itself. Errors are counted through the allocation-free
+    /// [`ParseDesc::visit_error_codes`] walk; only the trace builds paths.
+    pub fn close_record(&mut self, pd: &ParseDesc, index: usize, start: usize, end: usize) {
+        if pd.nerr > 0 {
+            pd.visit_error_codes(&mut |code| self.note_error(code));
+        }
+        self.note_record(end.saturating_sub(start) as u64, pd.nerr);
+        if let Some(t) = self.trace_mut() {
+            for (path, code, loc) in pd.errors() {
+                let loc = loc.map(|l| (l.begin.offset, l.end.offset));
+                t.push(TraceEvent::Error { path, code, loc });
+            }
+            t.push(TraceEvent::Record { index, start, end, nerr: pd.nerr });
+        }
+    }
+
+    fn trace_mut(&mut self) -> Option<&mut TraceLog> {
+        self.events.as_mut()?.trace.as_mut()
     }
 
     /// Closes one record spanning `bytes` with `nerr` errors: throughput
@@ -368,15 +430,14 @@ impl MetricsCore {
         self.record_bytes = self.record_bytes.saturating_add(bytes);
         // Batched latency sampling: one clock read per LATENCY_BATCH
         // records, with the batch's mean credited to each record in it —
-        // a single weighted add per summary, not LATENCY_BATCH bucket
-        // searches and reservoir draws.
+        // a single weighted add, not LATENCY_BATCH reservoir draws.
+        self.latency_records = self.latency_records.saturating_add(1);
         self.batch_pending += 1;
         if self.batch_pending >= LATENCY_BATCH {
             let now = Instant::now();
             let us = now.duration_since(self.last_record).as_secs_f64() * 1e6
                 / f64::from(self.batch_pending);
             self.last_record = now;
-            self.latency_us.add_n(us, u64::from(self.batch_pending));
             self.latency_q.add_n(us, u64::from(self.batch_pending));
             self.batch_pending = 0;
         }
@@ -471,34 +532,27 @@ impl MetricsCore {
     }
 
     /// Records counted by the latency summary (sampled plus the tail of
-    /// the current batch).
+    /// the current batch, and every record merged in).
     pub fn latency_count(&self) -> u64 {
-        self.latency_q.count() + u64::from(self.batch_pending)
+        self.latency_records
     }
 
     // ---- merge / drain / snapshot --------------------------------------
 
-    /// Folds another core's deterministic counters into this one — the
-    /// merge step of a parallel record-sharded parse, where each worker
-    /// thread aggregates into its own core. The fold is keyed by *name*,
-    /// so cores built over differently-ordered (or lazily-interned)
-    /// tables merge exactly; counter merging is order-independent.
-    /// Latency summaries are wall-clock samples of the worker's cadence
-    /// and are deliberately not folded in.
+    /// Folds another core's counters into this one — the merge step of a
+    /// parallel record-sharded parse, where each worker thread aggregates
+    /// into its own core. The fold is keyed by *name*, so cores built over
+    /// differently-ordered (or lazily-interned) tables merge exactly;
+    /// counter merging is order-independent. The latency summary folds
+    /// too: its record count exactly, its sampled batches in merge order.
     pub fn merge(&mut self, other: &MetricsCore) {
         for (i, t) in other.nodes.iter().enumerate() {
-            if t.hits == 0 && t.bytes == 0 && t.errors == 0 {
+            if *t == TypeStat::default() {
                 continue;
             }
             if let Some(name) = other.schema.name(i as u32) {
-                let idx = self.schema.intern(name) as usize;
-                if idx >= self.nodes.len() {
-                    self.nodes.resize(idx + 1, TypeStat::default());
-                }
-                let e = &mut self.nodes[idx];
-                e.hits = e.hits.saturating_add(t.hits);
-                e.bytes = e.bytes.saturating_add(t.bytes);
-                e.errors = e.errors.saturating_add(t.errors);
+                let idx = self.intern_node(name);
+                self.nodes[idx as usize].add(*t);
             }
         }
         for (i, &n) in other.errors_by_code.iter().enumerate() {
@@ -518,12 +572,19 @@ impl MetricsCore {
         for (e, &n) in self.budget_exhausted.iter_mut().zip(&other.budget_exhausted) {
             *e = e.saturating_add(n);
         }
+        self.latency_records = self.latency_records.saturating_add(other.latency_records);
+        // A per-record delta carries a sampled batch once every
+        // LATENCY_BATCH records; the rest cost this one branch.
+        if other.latency_q.count() > 0 {
+            self.latency_q.merge(&other.latency_q);
+        }
     }
 
-    /// Takes the accumulated counters out as a delta core, zeroing this
-    /// one in place while *keeping* its interning table (and id trust) —
-    /// the per-record harvest step of the parallel path, where the same
-    /// worker core keeps collecting after each drain.
+    /// Takes the accumulated counters and latency samples out as a delta
+    /// core, zeroing this one in place while *keeping* its interning table
+    /// (and id trust) and its latency clock — the per-record harvest step
+    /// of the parallel path, where the same worker core keeps collecting
+    /// after each drain.
     pub fn drain(&mut self) -> MetricsCore {
         let mut delta = MetricsCore::new();
         delta.schema = self.schema.clone();
@@ -539,8 +600,10 @@ impl MetricsCore {
         delta.panic_skip_events = std::mem::take(&mut self.panic_skip_events);
         delta.panic_skipped_bytes = std::mem::take(&mut self.panic_skipped_bytes);
         delta.budget_exhausted = std::mem::take(&mut self.budget_exhausted);
-        // Latency state stays with the live core (wall-clock cadence of
-        // this worker); the delta carries counters only, like `snapshot`.
+        delta.latency_records = std::mem::take(&mut self.latency_records);
+        if self.latency_q.count() > 0 {
+            std::mem::swap(&mut delta.latency_q, &mut self.latency_q);
+        }
         delta
     }
 
@@ -635,14 +698,8 @@ impl MetricsCore {
         for _ in 0..r.u32()? {
             let name = r.str()?;
             let t = TypeStat { hits: r.u64()?, bytes: r.u64()?, errors: r.u64()? };
-            let idx = m.schema.intern(&name) as usize;
-            if idx >= m.nodes.len() {
-                m.nodes.resize(idx + 1, TypeStat::default());
-            }
-            let e = &mut m.nodes[idx];
-            e.hits = e.hits.saturating_add(t.hits);
-            e.bytes = e.bytes.saturating_add(t.bytes);
-            e.errors = e.errors.saturating_add(t.errors);
+            let idx = m.intern_node(&name);
+            m.nodes[idx as usize].add(t);
         }
         if r.pos != r.bytes.len() {
             return None;
@@ -657,7 +714,7 @@ impl MetricsCore {
     /// `with_times` to append the sampled (wall-clock, approximate) time
     /// column.
     pub fn profile_table(&self, with_times: bool) -> Option<String> {
-        let p = self.profile.as_ref()?;
+        let p = self.events.as_ref()?.profile.as_ref()?;
         let mut rows: Vec<(&str, &ProfNode)> = p
             .nodes
             .iter()
@@ -716,7 +773,7 @@ impl MetricsCore {
     /// the output is deterministic for a given input. `None` when
     /// profiling was off.
     pub fn profile_folded(&self) -> Option<String> {
-        let p = self.profile.as_ref()?;
+        let p = self.events.as_ref()?.profile.as_ref()?;
         let mut lines: Vec<String> = p
             .folded
             .iter()
@@ -777,10 +834,6 @@ struct ProfNode {
 }
 
 impl ProfileCore {
-    fn new() -> ProfileCore {
-        ProfileCore::default()
-    }
-
     fn node_mut(&mut self, id: u32) -> &mut ProfNode {
         let idx = id as usize;
         if idx >= self.nodes.len() {
@@ -840,14 +893,11 @@ impl ProfileCore {
 }
 
 /// What a per-worker observer factory attaches to the worker's parser:
-/// a legacy event-stream observer, a dense metrics core, both, or
-/// neither. Factories hand one of these per worker thread to the
-/// parallel engines; the handles themselves never cross threads (the
-/// cores they wrap do, via the harvest closures).
+/// a dense metrics core, or nothing. Factories hand one of these per
+/// worker thread to the parallel engines; the handles themselves never
+/// cross threads (the cores they wrap do, via the harvest closures).
 #[derive(Default)]
 pub struct WorkerObs {
-    /// Full event-stream observer (traces, event logs).
-    pub handle: Option<ObsHandle>,
     /// Dense-id metrics core.
     pub metrics: Option<MetricsHandle>,
 }
@@ -858,20 +908,9 @@ impl WorkerObs {
         WorkerObs::default()
     }
 
-    /// Metrics-only observation via a dense core.
+    /// Observation via a dense core.
     pub fn metrics(core: MetricsHandle) -> WorkerObs {
-        WorkerObs { handle: None, metrics: Some(core) }
-    }
-
-    /// Full event-stream observation via a legacy handle.
-    pub fn observer(handle: ObsHandle) -> WorkerObs {
-        WorkerObs { handle: Some(handle), metrics: None }
-    }
-}
-
-impl From<ObsHandle> for WorkerObs {
-    fn from(handle: ObsHandle) -> WorkerObs {
-        WorkerObs::observer(handle)
+        WorkerObs { metrics: Some(core) }
     }
 }
 
@@ -944,8 +983,8 @@ mod tests {
         dense.exit_id(1, "b_t", 0, 4, 0);
         dense.exit_id(0, "a_t", 4, 6, 1);
         let mut interned = MetricsCore::new();
-        interned.note_type("b_t", 4, 0);
-        interned.note_type("a_t", 2, 1);
+        interned.exit_id(7, "b_t", 0, 4, 0);
+        interned.exit_id(7, "a_t", 4, 6, 1);
         assert_eq!(dense.sorted_types(), interned.sorted_types());
     }
 
@@ -991,15 +1030,22 @@ mod tests {
         assert_eq!(types[1], ("y_t", TypeStat { hits: 1, bytes: 1, errors: 0 }));
     }
 
+    /// Counts one parse of `name` spanning `bytes` (beyond what a
+    /// `usize` offset pair can express on every target).
+    fn bump(m: &mut MetricsCore, name: &str, bytes: u64) {
+        let idx = m.intern_node(name) as usize;
+        m.nodes[idx].add(TypeStat { hits: 1, bytes, errors: 0 });
+    }
+
     #[test]
     fn counters_saturate_instead_of_wrapping() {
         let mut a = MetricsCore::new();
-        a.note_type("t", u64::MAX - 1, 0);
+        bump(&mut a, "t", u64::MAX - 1);
         let mut b = MetricsCore::new();
-        b.note_type("t", 5, 0);
+        bump(&mut b, "t", 5);
         a.merge(&b);
         assert_eq!(a.sorted_types()[0].1.bytes, u64::MAX);
-        a.note_type("t", 9, 0);
+        bump(&mut a, "t", 9);
         assert_eq!(a.sorted_types()[0].1.bytes, u64::MAX);
     }
 
@@ -1009,8 +1055,8 @@ mod tests {
         m.exit_id(0, "b_t", 0, 4, 0);
         m.exit_id(1, "a_t", 4, 6, 1);
         m.note_error(ErrorCode::LitMismatch);
-        m.note_recovery(RecoveryEvent::PanicSkip { bytes: 7 });
-        m.note_recovery(RecoveryEvent::BudgetExhausted { mode: OnExhausted::Stop });
+        m.note_recovery(RecoveryEvent::PanicSkip { bytes: 7 }, 0);
+        m.note_recovery(RecoveryEvent::BudgetExhausted { mode: OnExhausted::Stop }, 0);
         m.note_record(6, 1);
         let r = MetricsCore::restore(&m.snapshot()).expect("roundtrips");
         assert_eq!(r.sorted_types(), m.sorted_types());
@@ -1076,5 +1122,42 @@ mod tests {
         }
         assert_eq!(m.latency_count(), u64::from(LATENCY_BATCH) * 2 + 5);
         assert_eq!(m.latency_q.count(), u64::from(LATENCY_BATCH) * 2);
+    }
+
+    #[test]
+    fn per_record_drains_fold_latency_exactly() {
+        let mut worker = MetricsCore::with_names(["t"]);
+        let mut merged = MetricsCore::new();
+        let n = LATENCY_BATCH as usize * 2 + 5;
+        for _ in 0..n {
+            worker.note_record(1, 0);
+            merged.merge(&worker.drain());
+        }
+        assert_eq!(merged.latency_count(), n as u64);
+        assert_eq!(merged.latency_q.count(), u64::from(LATENCY_BATCH) * 2);
+        assert!(merged.latency_quantile(0.5).is_some());
+    }
+
+    #[test]
+    fn trace_records_resolved_ids_and_offsets() {
+        let mut m = MetricsCore::new().with_trace(8, 100);
+        assert!(m.needs_events() && m.profile_table(false).is_none());
+        // An untrusted id resolves through the name, as the counters do.
+        m.enter_id(9, "rec_t", 0);
+        m.note_recovery(RecoveryEvent::PanicSkip { bytes: 2 }, 5);
+        m.close_record(&ParseDesc::default(), 0, 0, 5);
+        m.exit_id(9, "rec_t", 0, 5, 0);
+        let log = m.trace().expect("tracing on");
+        assert_eq!(
+            log.events(),
+            [
+                TraceEvent::Enter { node: 0, offset: 0 },
+                TraceEvent::Recovery { event: RecoveryEvent::PanicSkip { bytes: 2 }, offset: 5 },
+                TraceEvent::Record { index: 0, start: 0, end: 5, nerr: 0 },
+                TraceEvent::Exit { node: 0, start: 0, end: 5, nerr: 0 },
+            ]
+        );
+        assert_eq!(m.node_name(0), Some("rec_t"));
+        assert_eq!(m.sorted_types(), [("rec_t", TypeStat { hits: 1, bytes: 5, errors: 0 })]);
     }
 }

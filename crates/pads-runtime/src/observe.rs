@@ -1,34 +1,28 @@
-//! Observer hooks for the data path.
+//! The parse-event vocabulary and the bounded span-trace recorder.
 //!
-//! A [`Observer`] receives structured events from both parsing engines —
-//! the interpreter in `pads-core` and the modules emitted by
-//! `pads-codegen` — as they consume input: type entry/exit with byte
-//! offsets, per-descriptor errors, recovery actions, and record
-//! boundaries. The hooks are carried by the [`Cursor`](crate::io::Cursor)
-//! so generated modules need no new dependencies, and the
+//! Both parsing engines — the interpreter in `pads-core` and the modules
+//! emitted by `pads-codegen` — report what they consume through the
+//! [`Cursor`](crate::io::Cursor) hooks: type entry/exit by dense node id,
+//! per-descriptor errors, recovery actions, and record boundaries. The
 //! record-boundary, error, and recovery events are emitted centrally from
-//! the shared budget-accounting path, guaranteeing that both engines
-//! produce identical event streams for the same input.
+//! the shared budget-accounting path, so both engines produce identical
+//! event streams for the same input.
 //!
-//! The trait lives here (rather than in the `pads-observe` crate that
-//! provides the metrics and trace sinks) for the same reason a logging
-//! facade is split from its backends: the runtime owns the event
-//! vocabulary ([`Pos`], [`Loc`], [`ErrorCode`], [`ParseDesc`]) and the
-//! emission points, while sinks plug in from outside.
+//! Every event lands in the one attached
+//! [`MetricsCore`](crate::metrics::MetricsCore). Counting is always on;
+//! the full stream is kept only when the core's trace is switched on
+//! ([`MetricsCore::with_trace`](crate::metrics::MetricsCore::with_trace)),
+//! as a [`TraceLog`] of [`TraceEvent`]s that name nodes by id. Names are
+//! joined when the log is rendered (`pads_observe::TraceSink`).
 //!
-//! When no observer is attached the hooks cost a single `Option`
+//! When no core is attached the hooks cost a single `Option`
 //! discriminant test per site; the `ablation_observer` bench in
 //! `crates/bench` keeps that claim honest.
 
-use std::cell::RefCell;
-use std::fmt;
-use std::rc::Rc;
-
-use crate::error::{ErrorCode, Loc, Pos};
-use crate::pd::ParseDesc;
+use crate::error::ErrorCode;
 use crate::recovery::OnExhausted;
 
-/// A recovery action taken by the error-budget machinery (PR 1).
+/// A recovery action taken by the error-budget machinery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryEvent {
     /// Panic-mode resynchronisation discarded `bytes` bytes to reach the
@@ -47,75 +41,132 @@ pub enum RecoveryEvent {
     },
 }
 
-/// Receiver for parse events. All methods default to no-ops so sinks
-/// implement only what they need.
+/// One recorded parse event. Offsets are absolute byte offsets.
 ///
-/// Event guarantees:
+/// Stream guarantees:
 ///
-/// * `type_enter`/`type_exit` bracket every *named* type parse and nest
-///   properly; failed attempts (e.g. union branches that backtrack) still
-///   produce a balanced pair, with the failure visible in the exit's
-///   [`ParseDesc`].
-/// * `error` fires once per descriptor error surviving in a closed
+/// * `Enter`/`Exit` bracket every *named* type parse and nest properly;
+///   failed attempts (e.g. union branches that backtrack) still produce a
+///   balanced pair, with the failure visible in the exit's `nerr`.
+/// * `Error` appears once per descriptor error surviving in a closed
 ///   record (after per-record truncation), plus once per source-level
 ///   root error — exactly the errors a caller of
-///   [`ParseDesc::errors`] would see.
-/// * `record` fires once per closed or skipped record, in order.
-/// * `recovery` fires when the budget machinery acts: panic-mode skips,
+///   [`ParseDesc::errors`](crate::pd::ParseDesc::errors) would see.
+/// * `Record` appears once per closed or skipped record, in order.
+/// * `Recovery` appears when the budget machinery acts: panic-mode skips,
 ///   wholesale record skips, and the exhaustion transition itself.
-pub trait Observer {
-    /// A named type's parse begins at `pos`.
-    fn type_enter(&mut self, _name: &str, _pos: Pos) {}
-
-    /// The parse entered at `start` ended at `end`; `pd` is its final
-    /// descriptor.
-    fn type_exit(&mut self, _name: &str, _start: Pos, _end: Pos, _pd: &ParseDesc) {}
-
-    /// A descriptor error at `path` (dotted field path, `""` for the
-    /// root).
-    fn error(&mut self, _path: &str, _code: ErrorCode, _loc: Option<Loc>) {}
-
-    /// The recovery machinery acted at `pos`.
-    fn recovery(&mut self, _event: RecoveryEvent, _pos: Pos) {}
-
-    /// Record `index` closed covering `span` with `nerr` errors.
-    fn record(&mut self, _index: usize, _span: Loc, _nerr: u32) {}
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceEvent {
+    /// Node `node`'s parse began at `offset`.
+    Enter {
+        /// Dense node id.
+        node: u32,
+        /// Where the parse began.
+        offset: usize,
+    },
+    /// Node `node`'s parse covered `[start, end)` and its final descriptor
+    /// holds `nerr` errors (the parse is ok when `nerr` is 0).
+    Exit {
+        /// Dense node id.
+        node: u32,
+        /// Start offset the engine reported at exit.
+        start: usize,
+        /// Where the parse ended.
+        end: usize,
+        /// Errors in the final descriptor.
+        nerr: u32,
+    },
+    /// A descriptor error at `path` (dotted field path, `""` for the root).
+    Error {
+        /// Dotted field path within the record type.
+        path: String,
+        /// The error code.
+        code: ErrorCode,
+        /// The error location's `begin..end` offsets, when recorded.
+        loc: Option<(usize, usize)>,
+    },
+    /// The recovery machinery acted at `offset`.
+    Recovery {
+        /// What it did.
+        event: RecoveryEvent,
+        /// Where the action completed.
+        offset: usize,
+    },
+    /// Record `index` closed covering `[start, end)` with `nerr` errors.
+    Record {
+        /// Zero-based record index.
+        index: usize,
+        /// First byte of the record.
+        start: usize,
+        /// One past the last byte of the record.
+        end: usize,
+        /// Errors charged to the record.
+        nerr: u32,
+    },
 }
 
-/// A shared, clonable handle to an observer, carried by the cursor.
+/// The span trace: a depth- and size-bounded log of [`TraceEvent`]s.
 ///
-/// Interior mutability lets the caller keep a handle to the sink and read
-/// it out after the parse while the cursor (and its clones — union
-/// backtracking clones cursors freely) holds the same observer.
-#[derive(Clone)]
-pub struct ObsHandle(Rc<RefCell<dyn Observer>>);
+/// A type parse deeper than `max_depth`, inside an unrecorded parse, or
+/// past the first `max_spans` spans is counted in
+/// [`truncated`](Self::truncated) and leaves no `Enter`/`Exit` pair;
+/// errors, recoveries and records are always kept.
+#[derive(Debug, Clone)]
+pub struct TraceLog {
+    max_depth: usize,
+    max_spans: usize,
+    spans: usize,
+    truncated: u64,
+    /// One entry per open parse: whether it was recorded.
+    open: Vec<bool>,
+    events: Vec<TraceEvent>,
+}
 
-impl ObsHandle {
-    /// Wraps a sink in a shared handle.
-    pub fn new<O: Observer + 'static>(obs: O) -> ObsHandle {
-        ObsHandle(Rc::new(RefCell::new(obs)))
-    }
-
-    /// Wraps an already-shared sink, e.g. one the caller wants to keep a
-    /// reading handle to.
-    pub fn from_rc(rc: Rc<RefCell<dyn Observer>>) -> ObsHandle {
-        ObsHandle(rc)
-    }
-
-    /// Runs `f` against the sink. Re-entrant use (a sink that somehow
-    /// triggers another event while handling one) is silently dropped
-    /// rather than panicking: the data path must never abort.
-    #[inline]
-    pub fn with(&self, f: impl FnOnce(&mut dyn Observer)) {
-        if let Ok(mut obs) = self.0.try_borrow_mut() {
-            f(&mut *obs);
+impl TraceLog {
+    /// A log keeping spans down to `max_depth` nesting levels (at least
+    /// 1) and at most `max_spans` spans overall.
+    pub fn new(max_depth: usize, max_spans: usize) -> TraceLog {
+        TraceLog {
+            max_depth: max_depth.max(1),
+            max_spans,
+            spans: 0,
+            truncated: 0,
+            open: Vec::new(),
+            events: Vec::new(),
         }
     }
-}
 
-impl fmt::Debug for ObsHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("ObsHandle(..)")
+    /// The recorded events, in order.
+    pub fn events(&self) -> &[TraceEvent] {
+        &self.events
+    }
+
+    /// Spans dropped because of the depth/size bounds.
+    pub fn truncated(&self) -> u64 {
+        self.truncated
+    }
+
+    pub(crate) fn enter(&mut self, node: u32, offset: usize) {
+        let record = self.open.last().copied().unwrap_or(true)
+            && self.open.len() < self.max_depth
+            && self.spans < self.max_spans;
+        if record {
+            self.spans += 1;
+            self.events.push(TraceEvent::Enter { node, offset });
+        } else {
+            self.truncated += 1;
+        }
+        self.open.push(record);
+    }
+
+    pub(crate) fn exit(&mut self, node: u32, start: usize, end: usize, nerr: u32) {
+        if self.open.pop() == Some(true) {
+            self.events.push(TraceEvent::Exit { node, start, end, nerr });
+        }
+    }
+
+    pub(crate) fn push(&mut self, event: TraceEvent) {
+        self.events.push(event);
     }
 }
 
@@ -123,43 +174,10 @@ impl fmt::Debug for ObsHandle {
 mod tests {
     use super::*;
 
-    #[derive(Default)]
-    struct Counter {
-        enters: usize,
-        errors: usize,
-    }
-
-    impl Observer for Counter {
-        fn type_enter(&mut self, _name: &str, _pos: Pos) {
-            self.enters += 1;
-        }
-        fn error(&mut self, _path: &str, _code: ErrorCode, _loc: Option<Loc>) {
-            self.errors += 1;
-        }
-    }
-
     #[test]
-    fn handle_shares_one_sink_across_clones() {
-        let sink = Rc::new(RefCell::new(Counter::default()));
-        let h = ObsHandle::from_rc(sink.clone());
-        let h2 = h.clone();
-        h.with(|o| o.type_enter("a", Pos::default()));
-        h2.with(|o| o.type_enter("b", Pos::default()));
-        h2.with(|o| o.error("", ErrorCode::LitMismatch, None));
-        assert_eq!(sink.borrow().enters, 2);
-        assert_eq!(sink.borrow().errors, 1);
-    }
-
-    #[test]
-    fn default_methods_are_noops() {
-        struct Nop;
-        impl Observer for Nop {}
-        let h = ObsHandle::new(Nop);
-        h.with(|o| {
-            o.type_enter("x", Pos::default());
-            o.type_exit("x", Pos::default(), Pos::default(), &ParseDesc::default());
-            o.recovery(RecoveryEvent::SkipRecord, Pos::default());
-            o.record(0, Loc::at(Pos::default()), 0);
-        });
+    fn unmatched_exit_is_ignored() {
+        let mut t = TraceLog::new(8, 10);
+        t.exit(0, 0, 1, 0);
+        assert!(t.events().is_empty());
     }
 }

@@ -184,6 +184,20 @@ impl Quantiles {
         self.seen
     }
 
+    /// Folds `other`'s observations in by replaying its retained samples:
+    /// exact while `other`'s reservoir has not overflowed; past that, each
+    /// retained sample stands for an equal share of `other`'s count.
+    pub fn merge(&mut self, other: &Quantiles) {
+        let kept = other.sample.len() as u64;
+        if kept == 0 {
+            return;
+        }
+        let (each, extra) = (other.seen / kept, other.seen % kept);
+        for (i, &v) in other.sample.iter().enumerate() {
+            self.add_n(v, each + u64::from((i as u64) < extra));
+        }
+    }
+
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`), `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.sample.is_empty() {
@@ -305,5 +319,20 @@ mod tests {
         }
         let text = h.render();
         assert!(text.contains('#'), "{text}");
+    }
+
+    #[test]
+    fn merge_replays_samples_and_keeps_the_count() {
+        let mut a = Quantiles::new(8, 1);
+        let mut b = Quantiles::new(8, 2);
+        b.add_n(3.0, 4);
+        a.merge(&b);
+        assert_eq!(a.count(), 4);
+        assert_eq!(a.quantile(0.5), Some(3.0));
+        // An overflowed reservoir still hands on its whole count.
+        let mut big = Quantiles::new(4, 5);
+        big.add_n(7.0, 10);
+        a.merge(&big);
+        assert_eq!(a.count(), 14);
     }
 }

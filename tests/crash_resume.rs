@@ -8,19 +8,21 @@
 //! through a real on-disk [`pads_journal::Journal`] and checks the
 //! metrics-snapshot restore path.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use pads::generated::clf as gen_clf;
 use pads::{
     descriptions, BaseMask, ErrorBudget, Ingest, Mask, NoObserver, OnExhausted, PadsParser,
     ParseDesc, ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, SourceShape, Value,
 };
 use pads_observe::MetricsSink;
-use pads_runtime::{Cursor, FaultPlan, KillPlan, ObsHandle};
+use pads_runtime::{Cursor, FaultPlan, KillPlan, MetricsCore, MetricsHandle};
 
 fn mask() -> Mask {
     Mask::all(BaseMask::CheckAndSet)
+}
+
+/// The deterministic counters of an attached core, as JSON.
+fn counts(core: &MetricsHandle) -> String {
+    MetricsSink::from_core(core.borrow().clone()).counts_json()
 }
 
 /// Same policy matrix as the parallel-equivalence harness: unlimited plus
@@ -272,23 +274,23 @@ fn journal_roundtrip_restores_budget_and_metrics() {
         let policy = policies[(seed as usize) % policies.len()];
 
         // Uninterrupted observed run: the metrics ground truth.
-        let sink = Rc::new(RefCell::new(MetricsSink::new()));
-        let parser = parser_for(&schema, &registry, policy)
-            .with_observer(ObsHandle::from_rc(sink.clone()));
+        let parser = parser_for(&schema, &registry, policy);
+        let core = parser.metrics_core().into_handle();
+        let parser = parser.with_metrics(core.clone());
         let m = mask();
         let mut it = parser.records(&data, "entry_t", &m);
         let full: Vec<_> = it.by_ref().collect();
         let full_budget = it.budget();
         drop(it);
-        let full_json = sink.borrow().counts_json();
+        let full_json = counts(&core);
 
         // Killed run, committing (position, budget, metrics) to disk.
         let plan = KillPlan::for_seed(seed, full.len());
         let path = dir.join(format!("seed-{seed}.wal"));
         let mut journal = pads_journal::Journal::create(&path).expect("create journal");
-        let sink = Rc::new(RefCell::new(MetricsSink::new()));
-        let parser = parser_for(&schema, &registry, policy)
-            .with_observer(ObsHandle::from_rc(sink.clone()));
+        let parser = parser_for(&schema, &registry, policy);
+        let core = parser.metrics_core().into_handle();
+        let parser = parser.with_metrics(core.clone());
         let m = mask();
         let mut it = parser.records(&data, "entry_t", &m);
         let mut consumed = 0usize;
@@ -305,7 +307,7 @@ fn journal_roundtrip_restores_budget_and_metrics() {
                         offset: it.offset() as u64,
                         record: consumed as u64,
                         budget: it.budget(),
-                        metrics: sink.borrow().snapshot(),
+                        metrics: core.borrow().snapshot(),
                     })
                     .expect("commit");
             }
@@ -322,13 +324,15 @@ fn journal_roundtrip_restores_budget_and_metrics() {
                     record: cp.record as usize,
                     budget: cp.budget,
                 },
-                MetricsSink::restore(&cp.metrics).expect("metrics snapshot restores"),
+                MetricsCore::restore(&cp.metrics).expect("metrics snapshot restores"),
             ),
-            None => (ResumePoint::default(), MetricsSink::new()),
+            None => (ResumePoint::default(), MetricsCore::new()),
         };
-        let sink = Rc::new(RefCell::new(restored));
-        let parser = parser_for(&schema, &registry, policy)
-            .with_observer(ObsHandle::from_rc(sink.clone()));
+        let parser = parser_for(&schema, &registry, policy);
+        let mut core = parser.metrics_core();
+        core.merge(&restored);
+        let core = core.into_handle();
+        let parser = parser.with_metrics(core.clone());
         let m = mask();
         let mut it = parser.records_resumed(&data, "entry_t", &m, cp_resume);
         let resumed: Vec<_> = it.by_ref().collect();
@@ -341,7 +345,7 @@ fn journal_roundtrip_restores_budget_and_metrics() {
         );
         assert_eq!(resumed_budget, full_budget, "seed {seed}: journal-resumed budget diverges");
         assert_eq!(
-            sink.borrow().counts_json(),
+            counts(&core),
             full_json,
             "seed {seed} plan={plan:?} policy={policy:?}: restored metrics diverge"
         );

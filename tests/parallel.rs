@@ -8,16 +8,13 @@
 //! must leave the cursor offset, record coordinates, and error budget
 //! exactly as its single checkpoint saw them.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use pads::generated::clf as gen_clf;
 use pads::{
     compile, descriptions, BaseMask, ErrorBudget, Mask, OnExhausted, PadsParser, ParseDesc,
     ParseOptions, RecoveryPolicy, Registry, Schema, Value,
 };
 use pads_observe::MetricsSink;
-use pads_runtime::{Cursor, FaultPlan, MetricsCore, ObsHandle, WorkerObs};
+use pads_runtime::{Cursor, FaultPlan, MetricsCore, WorkerObs};
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
 const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
@@ -188,37 +185,47 @@ fn fault_harness_parallel_matches_sequential() {
     }
 }
 
-/// Observer equivalence: per-worker `MetricsSink`s merged in shard order
-/// produce the same deterministic counter snapshot as one sink fed by the
+/// Runs the sequential record loop over `data` with `core` attached and
+/// returns the core.
+fn sequential_core(schema: &Schema, data: &[u8], core: MetricsCore) -> MetricsCore {
+    let registry = Registry::standard();
+    let core = core.into_handle();
+    let parser = PadsParser::new(schema, &registry).with_metrics(core.clone());
+    let _ = parser.records(data, "entry_t", &mask()).count();
+    drop(parser);
+    core.take()
+}
+
+/// Name-keyed equivalence: per-worker lazily-interning cores (no trusted
+/// ids — every event resolves through its type name) drained per record
+/// and merged in shard order produce the same deterministic counter
+/// snapshot, and the same latency count, as one such core fed by the
 /// sequential record loop.
 #[test]
 fn parallel_metrics_merge_matches_sequential_snapshot() {
     let schema = descriptions::clf();
     let registry = Registry::standard();
-
-    let seq_sink = Rc::new(RefCell::new(MetricsSink::new()));
-    let parser = PadsParser::new(&schema, &registry)
-        .with_observer(ObsHandle::from_rc(seq_sink.clone()));
-    let _ = parser.records(CLF, "entry_t", &mask()).count();
-    let seq_json = seq_sink.borrow().counts_json();
+    let seq = sequential_core(&schema, CLF, MetricsCore::new());
+    let seq_json = MetricsSink::from_core(seq.clone()).counts_json();
 
     for jobs in [1, 2, 4] {
         let parser = PadsParser::new(&schema, &registry);
-        let (_, _, sinks) = parser.records_par_observed(CLF, "entry_t", &mask(), jobs, || {
-            let m = Rc::new(RefCell::new(MetricsSink::new()));
-            let handle = ObsHandle::from_rc(m.clone());
-            // Per-record harvest: drain the sink's accumulation since the
+        let (_, _, deltas) = parser.records_par_observed(CLF, "entry_t", &mask(), jobs, || {
+            let core = MetricsCore::new().into_handle();
+            let att = WorkerObs::metrics(core.clone());
+            // Per-record harvest: drain the core's accumulation since the
             // previous call, leaving it fresh for the next record.
-            let harvest: Box<dyn FnMut() -> MetricsSink> =
-                Box::new(move || std::mem::take(&mut *m.borrow_mut()));
-            (WorkerObs::observer(handle), harvest)
+            let harvest: Box<dyn FnMut() -> MetricsCore> =
+                Box::new(move || core.borrow_mut().drain());
+            (att, harvest)
         });
-        let mut merged = MetricsSink::new();
-        for sink in &sinks {
-            merged.merge(sink);
+        let mut merged = MetricsCore::new();
+        for delta in &deltas {
+            merged.merge(delta);
         }
+        assert_eq!(merged.latency_count(), seq.latency_count(), "jobs={jobs}: latency count");
         assert_eq!(
-            merged.counts_json(),
+            MetricsSink::from_core(merged).counts_json(),
             seq_json,
             "jobs={jobs}: merged metrics snapshot diverges from sequential"
         );
@@ -226,28 +233,23 @@ fn parallel_metrics_merge_matches_sequential_snapshot() {
 }
 
 /// Dense-core equivalence: per-worker `MetricsCore` shards (the `Send`-able
-/// counter slabs, attached without any `Observer`) drained per record and
-/// merged in record order produce the same snapshot as both a sequential
-/// dense-core run and the legacy observer feed above.
+/// counter slabs over trusted ids) drained per record and merged in record
+/// order produce the same snapshot as both a sequential dense-core run and
+/// the name-keyed core above.
 #[test]
 fn parallel_dense_cores_merge_matches_sequential_snapshot() {
     let schema = descriptions::clf();
     let registry = Registry::standard();
 
-    // Legacy observer ground truth.
-    let obs_sink = Rc::new(RefCell::new(MetricsSink::new()));
-    let parser =
-        PadsParser::new(&schema, &registry).with_observer(ObsHandle::from_rc(obs_sink.clone()));
-    let _ = parser.records(CLF, "entry_t", &mask()).count();
-    let obs_json = obs_sink.borrow().counts_json();
+    // Name-keyed ground truth.
+    let named = sequential_core(&schema, CLF, MetricsCore::new());
+    let named_json = MetricsSink::from_core(named).counts_json();
 
     // Sequential dense core.
     let parser = PadsParser::new(&schema, &registry);
-    let seq_core = parser.metrics_core().into_handle();
-    let parser = parser.with_metrics(seq_core.clone());
-    let _ = parser.records(CLF, "entry_t", &mask()).count();
-    let seq_json = MetricsSink::from_core(seq_core.borrow_mut().drain()).counts_json();
-    assert_eq!(seq_json, obs_json, "dense core diverges from legacy observer feed");
+    let seq = sequential_core(&schema, CLF, parser.metrics_core());
+    let seq_json = MetricsSink::from_core(seq).counts_json();
+    assert_eq!(seq_json, named_json, "dense core diverges from name-keyed core");
 
     for jobs in [1, 2, 4] {
         let parser = PadsParser::new(&schema, &registry);

@@ -9,8 +9,6 @@
 //! equivalence suite holds the interpreter to), and the per-schema program
 //! cache and charset-mismatch interpreter fallback get direct coverage.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use pads::generated::clf as gen_clf;
@@ -19,7 +17,7 @@ use pads::{
     ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, Value,
 };
 use pads_observe::MetricsSink;
-use pads_runtime::{Charset, Cursor, FaultPlan, KillPlan, ObsHandle};
+use pads_runtime::{Charset, Cursor, FaultPlan, KillPlan, MetricsCore, MetricsHandle, WorkerObs};
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
 const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
@@ -27,6 +25,11 @@ const MIXED: &[u8] = include_bytes!("data/torture_mixed.txt");
 
 fn mask() -> Mask {
     Mask::all(BaseMask::CheckAndSet)
+}
+
+/// The deterministic counters of an attached core, as JSON.
+fn counts(core: &MetricsHandle) -> String {
+    MetricsSink::from_core(core.borrow().clone()).counts_json()
 }
 
 /// Same policy matrix as the parallel-equivalence harness: unlimited plus
@@ -175,9 +178,9 @@ fn fault_harness_vm_matches_interpreter() {
     }
 }
 
-/// Observer equivalence: a `MetricsSink` fed by the VM engine snapshots to
+/// Observer equivalence: a metrics core fed by the VM engine snapshots to
 /// exactly the same deterministic counters as one fed by the interpreter —
-/// sequentially, and merged across per-worker sinks at `--jobs {1,4}`.
+/// sequentially, and merged across per-worker cores at `--jobs {1,4}`.
 #[test]
 fn vm_observer_stream_matches_interpreter() {
     for (label, schema, data, record) in [
@@ -187,19 +190,19 @@ fn vm_observer_stream_matches_interpreter() {
     ] {
         let registry = Registry::standard();
 
-        let interp_sink = Rc::new(RefCell::new(MetricsSink::new()));
-        let parser = PadsParser::new(&schema, &registry)
-            .with_observer(ObsHandle::from_rc(interp_sink.clone()));
+        let parser = PadsParser::new(&schema, &registry);
+        let interp_core = parser.metrics_core().into_handle();
+        let parser = parser.with_metrics(interp_core.clone());
         let _ = parser.records(data, record, &mask()).count();
-        let interp_json = interp_sink.borrow().counts_json();
+        let interp_json = counts(&interp_core);
 
-        let vm_sink = Rc::new(RefCell::new(MetricsSink::new()));
         let parser = PadsParser::new(&schema, &registry)
-            .with_options(opts(RecoveryPolicy::unlimited(), Engine::Vm))
-            .with_observer(ObsHandle::from_rc(vm_sink.clone()));
+            .with_options(opts(RecoveryPolicy::unlimited(), Engine::Vm));
+        let vm_core = parser.metrics_core().into_handle();
+        let parser = parser.with_metrics(vm_core.clone());
         let _ = parser.records(data, record, &mask()).count();
         assert_eq!(
-            vm_sink.borrow().counts_json(),
+            counts(&vm_core),
             interp_json,
             "{label}: VM observer stream diverges from interpreter"
         );
@@ -207,20 +210,20 @@ fn vm_observer_stream_matches_interpreter() {
         for jobs in [1, 4] {
             let parser = PadsParser::new(&schema, &registry)
                 .with_options(opts(RecoveryPolicy::unlimited(), Engine::Vm));
-            let (_, _, sinks) =
+            let (_, _, deltas) =
                 parser.records_par_observed(data, record, &mask(), jobs, || {
-                    let m = Rc::new(RefCell::new(MetricsSink::new()));
-                    let handle = ObsHandle::from_rc(m.clone());
-                    let harvest: Box<dyn FnMut() -> MetricsSink> =
-                        Box::new(move || std::mem::take(&mut *m.borrow_mut()));
-                    (pads_runtime::WorkerObs::observer(handle), harvest)
+                    let core = PadsParser::new(&schema, &registry).metrics_core().into_handle();
+                    let att = WorkerObs::metrics(core.clone());
+                    let harvest: Box<dyn FnMut() -> MetricsCore> =
+                        Box::new(move || core.borrow_mut().drain());
+                    (att, harvest)
                 });
-            let mut merged = MetricsSink::new();
-            for sink in &sinks {
-                merged.merge(sink);
+            let mut merged = MetricsCore::new();
+            for delta in &deltas {
+                merged.merge(delta);
             }
             assert_eq!(
-                merged.counts_json(),
+                MetricsSink::from_core(merged).counts_json(),
                 interp_json,
                 "{label} jobs={jobs}: merged VM metrics diverge from interpreter"
             );
@@ -287,25 +290,24 @@ fn vm_journal_kill_resume_matches_uninterrupted_interpreter() {
         let policy = policies[(seed as usize) % policies.len()];
 
         // Uninterrupted *interpreter* run with metrics: the ground truth.
-        let sink = Rc::new(RefCell::new(MetricsSink::new()));
-        let parser = PadsParser::new(&schema, &registry)
-            .with_options(opts(policy, Engine::Interp))
-            .with_observer(ObsHandle::from_rc(sink.clone()));
+        let parser =
+            PadsParser::new(&schema, &registry).with_options(opts(policy, Engine::Interp));
+        let core = parser.metrics_core().into_handle();
+        let parser = parser.with_metrics(core.clone());
         let m = mask();
         let mut it = parser.records(&data, "entry_t", &m);
         let full: Vec<_> = it.by_ref().collect();
         let full_budget = it.budget();
         drop(it);
-        let full_json = sink.borrow().counts_json();
+        let full_json = counts(&core);
 
         // Killed VM run, committing (position, budget, metrics) to disk.
         let plan = KillPlan::for_seed(seed, full.len());
         let path = dir.join(format!("seed-{seed}.wal"));
         let mut journal = pads_journal::Journal::create(&path).expect("create journal");
-        let sink = Rc::new(RefCell::new(MetricsSink::new()));
-        let parser = PadsParser::new(&schema, &registry)
-            .with_options(opts(policy, Engine::Vm))
-            .with_observer(ObsHandle::from_rc(sink.clone()));
+        let parser = PadsParser::new(&schema, &registry).with_options(opts(policy, Engine::Vm));
+        let core = parser.metrics_core().into_handle();
+        let parser = parser.with_metrics(core.clone());
         let m = mask();
         let mut it = parser.records(&data, "entry_t", &m);
         let mut consumed = 0usize;
@@ -322,7 +324,7 @@ fn vm_journal_kill_resume_matches_uninterrupted_interpreter() {
                         offset: it.offset() as u64,
                         record: consumed as u64,
                         budget: it.budget(),
-                        metrics: sink.borrow().snapshot(),
+                        metrics: core.borrow().snapshot(),
                     })
                     .expect("commit");
             }
@@ -339,14 +341,15 @@ fn vm_journal_kill_resume_matches_uninterrupted_interpreter() {
                     record: cp.record as usize,
                     budget: cp.budget,
                 },
-                MetricsSink::restore(&cp.metrics).expect("metrics snapshot restores"),
+                MetricsCore::restore(&cp.metrics).expect("metrics snapshot restores"),
             ),
-            None => (ResumePoint::default(), MetricsSink::new()),
+            None => (ResumePoint::default(), MetricsCore::new()),
         };
-        let sink = Rc::new(RefCell::new(restored));
-        let parser = PadsParser::new(&schema, &registry)
-            .with_options(opts(policy, Engine::Vm))
-            .with_observer(ObsHandle::from_rc(sink.clone()));
+        let parser = PadsParser::new(&schema, &registry).with_options(opts(policy, Engine::Vm));
+        let mut core = parser.metrics_core();
+        core.merge(&restored);
+        let core = core.into_handle();
+        let parser = parser.with_metrics(core.clone());
         let m = mask();
         let mut it = parser.records_resumed(&data, "entry_t", &m, cp);
         let resumed: Vec<_> = it.by_ref().collect();
@@ -362,7 +365,7 @@ fn vm_journal_kill_resume_matches_uninterrupted_interpreter() {
             "seed {seed} plan={plan:?} policy={policy:?}: VM-resumed budget diverges"
         );
         assert_eq!(
-            sink.borrow().counts_json(),
+            counts(&core),
             full_json,
             "seed {seed} plan={plan:?} policy={policy:?}: VM-restored metrics diverge"
         );
