@@ -6,9 +6,10 @@
 //! - `collect` — `records_par`, which materialises every record before
 //!   returning — the retention profile of the pre-streaming merge (and
 //!   of any caller that wants a `Vec` back)
-//! - `stream` — the `ingest` driver with a counting consumer: workers
-//!   are bounded to `DEFAULT_MAX_INFLIGHT` records ahead of the in-order
-//!   merge, so retention stays flat
+//! - `stream` — the `ingest` driver with a counting consumer that keeps
+//!   nothing of a record, so each tree is dropped where it was parsed;
+//!   workers hold at most two `CHUNK_BYTES` chunks each ahead of the
+//!   in-order merge, so retention stays flat
 //!
 //! VmHWM is a process-lifetime maximum, so each mode must run in its own
 //! process: `rss_bench <seq|collect|stream> [records] [jobs]`.
@@ -16,7 +17,7 @@
 
 use pads::{
     descriptions, BaseMask, Ingest, Mask, NoObserver, PadsParser, ParseOptions, Registry,
-    ResumePoint, SourceShape, DEFAULT_MAX_INFLIGHT,
+    ResumePoint, SourceShape, CHUNK_BYTES,
 };
 
 fn vm_hwm_kb() -> u64 {
@@ -65,7 +66,8 @@ fn main() {
             let mut n = 0usize;
             let shape = SourceShape::records("entry_t");
             let start = ResumePoint::default();
-            parser.ingest(&data, &shape, &mask, jobs, start, None::<&NoObserver>, |step| {
+            let none = None::<&NoObserver>;
+            parser.ingest(&data, &shape, &mask, jobs, start, none, |_, _| (), |step| {
                 n += usize::from(matches!(step, Ingest::Record(..)));
             });
             n
@@ -78,7 +80,7 @@ fn main() {
 
     println!(
         "{{\"mode\": \"{mode}\", \"records\": {parsed}, \"jobs\": {jobs}, \
-         \"max_inflight\": {DEFAULT_MAX_INFLIGHT}, \"data_bytes\": {}, \
+         \"chunk_bytes\": {CHUNK_BYTES}, \"data_bytes\": {}, \
          \"after_gen_kb\": {after_gen_kb}, \"vm_hwm_kb\": {}}}",
         data.len(),
         vm_hwm_kb()

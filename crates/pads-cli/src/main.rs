@@ -57,9 +57,9 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use pads::{
-    BaseMask, Charset, Endian, Engine, ErrorCode, Ingest, Ingested, Loc, Mask, OnExhausted,
-    PadsParser, ParseDesc, ParseOptions, ParseState, Progress, RecordDiscipline, RecoveryPolicy,
-    Registry, ResumePoint, Schema, SourceShape,
+    keep_record, BaseMask, Charset, Endian, Engine, ErrorCode, Ingest, Ingested, Loc, Mask,
+    OnExhausted, PadsParser, ParseDesc, ParseOptions, ParseState, Progress, RecordDiscipline,
+    RecoveryPolicy, Registry, ResumePoint, Schema, SourceShape, Value,
 };
 use pads_check::lint;
 use pads_observe::{MetricsCore, MetricsHandle, MetricsSink, TraceSink, WorkerObs};
@@ -592,15 +592,18 @@ impl Input {
     }
 
     /// The one ingest call site: reads the data as `shape` says on up to
-    /// `jobs` workers from `resume`, handing every step to `consume`.
-    fn ingest(
+    /// `jobs` workers from `resume`, projecting each record with `project`
+    /// where it was parsed and handing every step to `consume`.
+    #[allow(clippy::too_many_arguments)]
+    fn ingest<Q: Send>(
         &self,
         registry: &Registry,
         shape: &SourceShape,
         jobs: usize,
         resume: ResumePoint,
         observe: &Observe,
-        mut consume: impl FnMut(Ingest<'_, MetricsCore>),
+        project: impl Fn(Value, ParseDesc) -> Q + Sync,
+        mut consume: impl FnMut(Ingest<'_, MetricsCore, Q>),
     ) -> Ingested {
         let mut parser = PadsParser::new(&self.schema, registry).with_options(self.options);
         if let Some(core) = &observe.core {
@@ -609,8 +612,8 @@ impl Input {
         let factory = metrics_factory(&self.schema);
         let workers = observe.records.as_ref().map(|_| &factory);
         let mask = Mask::all(BaseMask::CheckAndSet);
-        parser.ingest(&self.data, shape, &mask, jobs, resume, workers, |step| {
-            if let (Ingest::Record(_, _, Some(delta), _), Some(core)) = (&step, &observe.records) {
+        parser.ingest(&self.data, shape, &mask, jobs, resume, workers, project, |step| {
+            if let (Ingest::Record(_, Some(delta), _), Some(core)) = (&step, &observe.records) {
                 core.borrow_mut().merge(delta);
             }
             consume(step);
@@ -797,7 +800,7 @@ fn parse(o: &Opts, registry: &Registry, options: ParseOptions) -> Result<ExitCod
         if o.format == OutputFormat::Xml {
             return Err("--journal cannot be combined with --format xml".into());
         }
-        if !input.shape.shardable() {
+        if !input.shape.plain_records() {
             return Err("--journal requires a plain record-array source".into());
         }
     }
@@ -842,27 +845,28 @@ fn parse(o: &Opts, registry: &Registry, options: ParseOptions) -> Result<ExitCod
             }
             Err(e) => return Ok(journal_failure(&e)),
         },
-        None => {
-            let sharded = core.clone().filter(|_| jobs > 1 && shape.shardable());
-            (None, ResumePoint::default(), sharded)
-        }
+        None => (None, ResumePoint::default(), core.clone().filter(|_| jobs > 1)),
     };
     let observe = Observe { core, records };
 
-    // The report folds each descriptor as it arrives; only XML keeps the
-    // (whole) tree.
+    // The report folds each descriptor as it arrives: a record keeps only
+    // a descriptor with errors, dropping the rest where it was parsed.
+    // Only XML keeps the (whole) tree.
     let mut summary = Summary::default();
     let mut index = 0;
     let mut tree = None;
-    let end = input.ingest(registry, shape, jobs, resume, &observe, |step| match step {
+    let errors = |_, pd: ParseDesc| (pd.nerr > 0).then_some(pd);
+    let end = input.ingest(registry, shape, jobs, resume, &observe, errors, |step| match step {
         Ingest::Header(_, pd) => summary.add(&pd, || shape.header_path().to_owned()),
-        Ingest::Record(_, pd, _, progress) => {
+        Ingest::Record(pd, _, progress) => {
             if let (Some(com), Some(records)) = (&mut committer, &observe.records) {
                 if !com.on_record(progress, &records.borrow()) {
                     return;
                 }
             }
-            summary.add(&pd, || shape.record_path(index));
+            if let Some(pd) = pd {
+                summary.add(&pd, || shape.record_path(index));
+            }
             index += 1;
         }
         Ingest::Whole(value, pd) => {
@@ -1069,9 +1073,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let observe = Observe { core: Some(core.clone()), ..Observe::default() };
             let mut ok = true;
             let start = ResumePoint::default();
-            let end = input.ingest(&registry, &input.shape, 1, start, &observe, |step| {
-                let (Ingest::Header(_, pd) | Ingest::Record(_, pd, ..) | Ingest::Whole(_, pd)) =
-                    step;
+            let shape = &input.shape;
+            let end = input.ingest(&registry, shape, 1, start, &observe, |_, pd| pd, |step| {
+                let (Ingest::Header(_, pd) | Ingest::Record(pd, ..) | Ingest::Whole(_, pd)) = step;
                 ok &= pd.is_ok();
             });
             let core = core.borrow();
@@ -1107,7 +1111,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let record = shape.record.as_deref().unwrap_or_default();
             let mut acc = pads_tools::Accumulator::with_config(&input.schema, record, cfg);
             let (start, observe) = (ResumePoint::default(), Observe::default());
-            input.ingest(&registry, &shape, o.jobs, start, &observe, |step| {
+            input.ingest(&registry, &shape, o.jobs, start, &observe, keep_record, |step| {
                 shape.records_in(step, |value, pd| acc.add(&value, &pd));
             });
             print!("{}", acc.report("<top>"));
@@ -1128,7 +1132,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             let mut out = String::new();
             let (start, observe) = (ResumePoint::default(), Observe::default());
-            input.ingest(&registry, &shape, o.jobs, start, &observe, |step| {
+            input.ingest(&registry, &shape, o.jobs, start, &observe, keep_record, |step| {
                 shape.records_in(step, |value, _| {
                     out.push_str(&fmt.format(&value));
                     out.push('\n');

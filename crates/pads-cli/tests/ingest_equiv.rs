@@ -9,6 +9,10 @@
 //! output is the reference; the other modes may only add the one stderr
 //! note that explains why `--jobs` was ignored.
 //!
+//! The bundled torture corpora hold a dozen records or fewer, so
+//! `generated_corpora_print_the_same_at_every_jobs` also runs corpora from
+//! `pads_gen` large enough to give every worker several chunks.
+//!
 //! Regenerate after an intentional change by running each case at
 //! `--jobs 1` from the repository root, e.g.
 //!
@@ -49,7 +53,6 @@ const JOURNAL_CASES: [&str; 3] = ["parse_report", "parse_none", "parse_metrics"]
 const TRACE_NOTE: &str = "pads: --trace forces a sequential parse; ignoring --jobs\n";
 const PROFILE_NOTE: &str = "pads: --profile forces a sequential parse; ignoring --jobs\n";
 const XML_NOTE: &str = "pads: --format xml forces a sequential parse; ignoring --jobs\n";
-const HEADER_NOTE: &str = "pads: source is not a plain record array; ignoring --jobs\n";
 
 fn repo_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
@@ -101,13 +104,14 @@ fn with_note(mut want: Vec<u8>, note: &str) -> Vec<u8> {
     want
 }
 
-/// The stderr note a `--jobs 4` run adds to the `--jobs 1` output.
-fn jobs_note(desc: &str, case: &str) -> &'static str {
+/// The stderr note a `--jobs 4` run adds to the `--jobs 1` output. The
+/// records behind a header shard like any others, so a header source adds
+/// none.
+fn jobs_note(case: &str) -> &'static str {
     match case {
         "parse_trace" => TRACE_NOTE,
         "parse_profile" | "profile" | "profile_folded" => PROFILE_NOTE,
         "parse_xml" => XML_NOTE,
-        _ if desc == "sirius" => HEADER_NOTE,
         _ => "",
     }
 }
@@ -136,7 +140,7 @@ fn jobs_4_matches_jobs_1() {
     for (desc, data) in DESCRIPTIONS {
         for (case, args) in CASES {
             let got = run(desc, data, args, &["--jobs", "4"]);
-            let want = with_note(expected(desc, case), jobs_note(desc, case));
+            let want = with_note(expected(desc, case), jobs_note(case));
             assert_same(&got, &want, &format!("{desc} {case} --jobs 4"));
         }
     }
@@ -151,7 +155,7 @@ fn journaled_runs_match_jobs_1() {
                 let _ = std::fs::remove_file(&wal);
                 let wal = wal.to_str().expect("utf-8 temp path");
                 let got = run(desc, data, args, &["--journal", wal, "--jobs", jobs]);
-                let note = if jobs == "1" { "" } else { jobs_note(desc, case) };
+                let note = if jobs == "1" { "" } else { jobs_note(case) };
                 let want = with_note(expected(desc, case), note);
                 assert_same(&got, &want, &format!("{desc} {case} --journal --jobs {jobs}"));
             }
@@ -229,4 +233,86 @@ fn source_level_checks_hold_at_every_jobs_and_journal_refuses_them() {
         assert_eq!(out.status.code(), Some(1), "{name} --journal: {stderr}");
         assert!(stderr.contains("--journal requires a plain record-array source"), "{stderr}");
     }
+}
+
+/// A journal commits per record of a plain record array: a source with a
+/// header is refused, at every `--jobs`, even though its records shard.
+#[test]
+fn journal_refuses_a_header_source() {
+    for jobs in ["1", "4"] {
+        let wal = temp_dir().join(format!("sirius-header-{jobs}.wal"));
+        let wal = wal.to_str().expect("utf-8 temp path");
+        let args = ["--journal", wal, "--jobs", jobs];
+        let got = run("sirius", "tests/data/torture_sirius.txt", &["parse"], &args);
+        let want = "exit: 1\n--- stdout\n--- stderr\n\
+                    pads: --journal requires a plain record-array source\n";
+        assert_same(&got, want.as_bytes(), &format!("sirius --journal --jobs {jobs}"));
+    }
+}
+
+/// The outputs the benchmark compares across job counts, on generated
+/// corpora of about a megabyte — many chunks per worker, where the bundled
+/// torture corpora never reach a second chunk: a clean clf log, the same
+/// log after a fault plan with an error budget that trips halfway under
+/// `skip`, and a Sirius feed (a header, then records with syntax errors
+/// and a sort violation). Exit status, stdout and stderr (the error
+/// summary) of `parse --format report`, `parse --metrics=json` and
+/// `accum` must be byte-identical at `--jobs 1`, 2 and 4.
+#[test]
+fn generated_corpora_print_the_same_at_every_jobs() {
+    let dir = temp_dir();
+    let clf = pads_gen::clf::generate(&pads_gen::ClfConfig {
+        records: 11_000,
+        seed: 5,
+        ..Default::default()
+    })
+    .0;
+    let faults = pads_runtime::FaultPlan {
+        seed: 0x9E37_79B9,
+        bit_flips: 1_100,
+        deletions: 22,
+        insertions: 22,
+        truncate: false,
+    };
+    let faulty = faults.apply(&clf);
+    let max_errs = halfway_errors(&faulty).to_string();
+    let sirius = pads_gen::sirius::generate(&pads_gen::SiriusConfig {
+        records: 6_000,
+        seed: 5,
+        ..Default::default()
+    })
+    .0;
+    let corpora: [(&str, &str, &[u8], &[&str]); 3] = [
+        ("clf", "clean", &clf, &[]),
+        ("clf", "faulty", &faulty, &["--max-errs", &max_errs, "--on-overflow", "skip"]),
+        ("sirius", "generated", &sirius, &[]),
+    ];
+    let cases: [&[&str]; 3] =
+        [&["parse", "--format", "report"], &["parse", "--metrics=json"], &["accum"]];
+    for (desc, name, bytes, flags) in corpora {
+        assert!(bytes.len() > 900_000, "{desc} {name}: {} bytes", bytes.len());
+        let path = dir.join(format!("{desc}-{name}.txt"));
+        std::fs::write(&path, bytes).expect("write corpus");
+        let data = path.to_str().expect("utf-8 temp path");
+        for args in cases {
+            let reference = run(desc, data, args, &[flags, &["--jobs", "1"]].concat());
+            for jobs in ["2", "4"] {
+                let got = run(desc, data, args, &[flags, &["--jobs", jobs]].concat());
+                assert_same(&got, &reference, &format!("{desc} {name} {args:?} --jobs {jobs}"));
+            }
+        }
+    }
+}
+
+/// The error tally after half the records of an unlimited clf parse: a
+/// budget that trips about halfway through `data`.
+fn halfway_errors(data: &[u8]) -> u64 {
+    let schema = pads::descriptions::clf();
+    let registry = pads::Registry::standard();
+    let parser = pads::PadsParser::new(&schema, &registry);
+    let mask = pads::Mask::all(pads::BaseMask::CheckAndSet);
+    let records = data.iter().filter(|&&b| b == b'\n').count();
+    let mut it = parser.records(data, "entry_t", &mask);
+    for _ in (&mut it).take(records / 2) {}
+    it.budget().errs.max(1)
 }

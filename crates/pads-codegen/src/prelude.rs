@@ -661,7 +661,7 @@ where
     M: Fn(&'d [u8]) -> Cursor<'d> + Sync,
     F: for<'b> Fn(&'b mut Cursor<'d>) -> (T, ParseDesc) + Sync,
 {
-    use pads_runtime::par::{self, RecordMsg, Shard, ShardSender};
+    use pads_runtime::par::{self, Chunks, RecordMsg};
 
     if resume.budget.stopped() {
         return (Vec::new(), resume.budget);
@@ -670,38 +670,42 @@ where
     let tail = &data[base..];
     let probe = make(data);
     let policy = probe.policy();
-    let plan = par::plan_shards(tail, probe.discipline(), probe.charset(), jobs.max(1));
+    let plan = par::plan_chunks(tail, probe.discipline(), probe.charset(), jobs);
     let stripped = RecoveryPolicy {
         max_errs: None,
         max_panic_skip: None,
         ..policy
     };
 
-    // Workers parse their shard in isolation and ship each record with its
+    // Workers parse each chunk in isolation and ship each record with its
     // budget delta; descriptors are rebased to global coordinates here so
     // the merge is coordinate-agnostic.
-    let worker = |shard: &Shard, mut tx: ShardSender<(T, ParseDesc), ()>| {
-        let mut cur = make(&tail[shard.start..shard.end]).with_policy(stripped);
-        let mut prev = cur.budget();
-        loop {
-            if cur.at_eof() {
-                break;
-            }
-            let mark = cur.offset();
-            let (v, mut pd) = read(&mut cur);
-            pd.rebase(base + shard.start, resume.record + shard.first_record);
-            let after = cur.budget();
-            let msg = RecordMsg {
-                nerr: after.errs.saturating_sub(prev.errs) as u32,
-                panic_skipped: after.panic_skipped.saturating_sub(prev.panic_skipped),
-                end_offset: shard.start + cur.offset(),
-                extra: None,
-                item: (v, pd),
-            };
-            prev = after;
-            let stalled = cur.offset() == mark;
-            if !tx.send(msg) || stalled {
-                break;
+    let worker = |chunks: &Chunks<'_, (T, ParseDesc), ()>| {
+        while let Some((shard, mut tx)) = chunks.next() {
+            let mut cur = make(&tail[shard.start..shard.end]).with_policy(stripped);
+            let mut prev = cur.budget();
+            loop {
+                if cur.at_eof() {
+                    break;
+                }
+                let mark = cur.offset();
+                let (v, mut pd) = read(&mut cur);
+                pd.rebase(base + shard.start, resume.record + shard.first_record);
+                let after = cur.budget();
+                let msg = RecordMsg {
+                    nerr: after.errs.saturating_sub(prev.errs) as u32,
+                    panic_skipped: after.panic_skipped.saturating_sub(prev.panic_skipped),
+                    end_offset: shard.start + cur.offset(),
+                    extra: None,
+                    item: (v, pd),
+                };
+                prev = after;
+                if !tx.send(msg) {
+                    return;
+                }
+                if cur.offset() == mark {
+                    break;
+                }
             }
         }
     };
@@ -733,7 +737,7 @@ where
         &plan,
         &policy,
         resume.budget,
-        par::DEFAULT_MAX_INFLIGHT,
+        jobs,
         worker,
         replay,
         |item, _extra, _progress| items.push(item),

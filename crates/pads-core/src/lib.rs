@@ -72,14 +72,14 @@ pub use pads_check::{check, compile, CheckError, CompileError};
 pub use pads_runtime::{
     BaseMask, Charset, Cursor, Endian, ErrorBudget, ErrorCode, Loc, Mask, OnExhausted, ParseDesc,
     ParseState, PdKind, Pos, Prim, PrimKind, Progress, RecordDiscipline, RecoveryPolicy, Registry,
-    ResumePoint, DEFAULT_MAX_INFLIGHT,
+    ResumePoint, CHUNK_BYTES,
 };
 pub use pads_syntax::{parse as parse_description, Program, SyntaxError};
 
 pub use arena::{push_value, to_value};
 pub use batch::{Bitmap, ColTree, ColumnView, PrimColView, RecordBatch};
 pub use eval::{Env, Ev};
-pub use parallel::{Ingest, Ingested, NoObserver, SourceShape};
+pub use parallel::{keep_record, Ingest, Ingested, NoObserver, SourceShape};
 pub use parse::{has_syntax_error, Elements, Engine, PadsParser, ParseOptions, Records};
 pub use vm::VmProgram;
 pub use stream::StreamRecords;

@@ -5,16 +5,24 @@
 //! source type, once, how a source divides into an optional header and
 //! repeated records, and whether streaming them reproduces
 //! [`PadsParser::parse_source`] exactly. [`PadsParser::ingest`] then
-//! parses the header on the calling thread and streams the records through
-//! the sharded engine of [`pads_runtime::par`]: record-aligned shards are
-//! parsed on worker threads by thread-local parsers, and an in-order merge
-//! hands each record to the consumer with a [`Progress`] cursor (committed
-//! offset, record index, budget), so a journal can commit during the run.
-//! Values, descriptors (rebased to global coordinates) and the
-//! [`ErrorBudget`] are byte-identical to a sequential parse under every
-//! recovery policy. Header sources run at one job; a source that is not
-//! exactly its records is parsed whole instead of losing its source-level
-//! checks.
+//! parses the header on the calling thread and runs the records behind it
+//! through the sharded engine of [`pads_runtime::par`]: a pool of worker
+//! threads, each with one thread-local parser, parses record-aligned
+//! chunks, and an in-order merge hands each record to the consumer with a
+//! [`Progress`] cursor (committed offset, record index, budget), so a
+//! journal can commit during the run. Values, descriptors (rebased to
+//! global coordinates) and the [`ErrorBudget`] are byte-identical to a
+//! sequential parse under every recovery policy. A source that is not
+//! exactly its header and records is parsed whole instead of losing its
+//! source-level checks.
+//!
+//! The consumer's per-record *projection* runs where the record was
+//! parsed, on a worker or, at one job, on the calling thread: a consumer
+//! that keeps only part of each record (`pads parse` keeps the descriptors
+//! of records with errors) has the rest freed on the thread that built it.
+//! The driver reads what it folds itself (the descriptor's error count and
+//! syntax-error state) before projecting; [`keep_record`] is the identity
+//! projection.
 //!
 //! Observation is per-worker: a *factory* builds one [`WorkerObs`]
 //! metrics core per worker thread (handles never cross threads) plus a
@@ -24,10 +32,10 @@
 //! core, so metrics, profiles and traces match a whole-source parse.
 
 use pads_check::ir::{MemberIr, Schema, TypeId, TypeKind, TyUse};
-use pads_runtime::par::{self, Progress, RecordMsg, Shard, ShardSender};
+use pads_runtime::par::{self, Chunks, Progress, RecordMsg};
 use pads_runtime::{
     ErrorBudget, ErrorCode, Loc, Mask, ParseDesc, ParseState, PdKind, Pos, RecoveryPolicy,
-    ResumePoint, WorkerObs, DEFAULT_MAX_INFLIGHT,
+    ResumePoint, WorkerObs,
 };
 
 use crate::parse::{has_syntax_error, PadsParser, ParseOptions};
@@ -101,8 +109,8 @@ impl SourceShape {
         SourceShape { header: Some(header.to_owned()), ..SourceShape::records(record) }
     }
 
-    /// Whether the driver shards the records over worker threads.
-    pub fn shardable(&self) -> bool {
+    /// Whether the source is exactly a plain record array, with no header.
+    pub fn plain_records(&self) -> bool {
         self.exact && self.header.is_none()
     }
 
@@ -129,7 +137,7 @@ impl SourceShape {
     pub fn records_in<E>(&self, step: Ingest<'_, E>, mut each: impl FnMut(Value, ParseDesc)) {
         match step {
             Ingest::Header(..) => {}
-            Ingest::Record(value, pd, ..) => each(value, pd),
+            Ingest::Record((value, pd), ..) => each(value, pd),
             Ingest::Whole(value, pd) => {
                 for (value, pd) in self.records_of(value, pd) {
                     each(value, pd);
@@ -173,14 +181,38 @@ fn records_array(schema: &Schema, id: TypeId) -> Option<(String, bool)> {
 
 /// One step of an ingest run, handed to the consumer in source order.
 #[derive(Debug)]
-pub enum Ingest<'a, E> {
+pub enum Ingest<'a, E, Q = (Value, ParseDesc)> {
     /// The header, parsed on the calling thread before any record.
     Header(Value, ParseDesc),
-    /// A record, its observer harvest (with a factory), and the merge
-    /// cursor after it in global coordinates.
-    Record(Value, ParseDesc, Option<E>, &'a Progress),
+    /// A record as the consumer's projection left it, its observer harvest
+    /// (with a factory), and the merge cursor after it in global
+    /// coordinates.
+    Record(Q, Option<E>, &'a Progress),
     /// A source that is not exactly its records, parsed whole.
     Whole(Value, ParseDesc),
+}
+
+/// The identity projection: the consumer keeps each record's value and
+/// descriptor.
+pub fn keep_record(value: Value, pd: ParseDesc) -> (Value, ParseDesc) {
+    (value, pd)
+}
+
+/// A projected record with what the driver folds of its descriptor, read
+/// before the projection ran.
+struct Folded<Q> {
+    item: Q,
+    /// The descriptor's error count.
+    nerr: u32,
+    /// The descriptor's state, when it records a syntax error.
+    syntax: Option<ParseState>,
+}
+
+impl<Q> Folded<Q> {
+    fn new(value: Value, pd: ParseDesc, project: &impl Fn(Value, ParseDesc) -> Q) -> Folded<Q> {
+        let (nerr, syntax) = (pd.nerr, has_syntax_error(&pd).then_some(pd.state));
+        Folded { item: project(value, pd), nerr, syntax }
+    }
 }
 
 /// How an ingest run ended.
@@ -228,8 +260,9 @@ impl<'s> PadsParser<'s> {
         let mut batch = crate::batch::RecordBatch::new();
         let shape = SourceShape::records(name);
         let start = ResumePoint::default();
-        let end = self.ingest(data, &shape, mask, jobs, start, None::<&NoObserver>, |step| {
-            if let Ingest::Record(v, pd, ..) = step {
+        let none = None::<&NoObserver>;
+        let end = self.ingest(data, &shape, mask, jobs, start, none, keep_record, |step| {
+            if let Ingest::Record((v, pd), ..) = step {
                 batch.push(&v, &pd);
             }
         });
@@ -271,9 +304,9 @@ impl<'s> PadsParser<'s> {
         let (mut items, mut extras) = (Vec::new(), Vec::new());
         let shape = SourceShape::records(name);
         let start = ResumePoint::default();
-        let end = self.ingest(data, &shape, mask, jobs, start, observer, |step| {
-            if let Ingest::Record(v, pd, extra, _) = step {
-                items.push((v, pd));
+        let end = self.ingest(data, &shape, mask, jobs, start, observer, keep_record, |step| {
+            if let Ingest::Record(item, extra, _) = step {
+                items.push(item);
                 extras.extend(extra);
             }
         });
@@ -284,10 +317,12 @@ impl<'s> PadsParser<'s> {
     /// to `consume` exactly once, in source order. Records are parsed on up
     /// to `jobs` workers, from `resume` (a committed checkpoint in global
     /// coordinates; a header is parsed only from the start), each worker
-    /// observed through `observer`. A source that must run at one job while
-    /// `jobs > 1` gets a note on stderr saying `--jobs` is ignored.
+    /// observed through `observer`, and each record passes through
+    /// `project` on the thread that parsed it. A source that must be parsed
+    /// whole while `jobs > 1` gets a note on stderr saying `--jobs` is
+    /// ignored.
     #[allow(clippy::too_many_arguments)]
-    pub fn ingest<E, F, C>(
+    pub fn ingest<E, F, Q, P, C>(
         &self,
         data: &[u8],
         shape: &SourceShape,
@@ -295,12 +330,15 @@ impl<'s> PadsParser<'s> {
         jobs: usize,
         resume: ResumePoint,
         observer: Option<&F>,
+        project: P,
         mut consume: C,
     ) -> Ingested
     where
         E: Send,
         F: Fn() -> (WorkerObs, Box<dyn FnMut() -> E>) + Sync,
-        C: FnMut(Ingest<'_, E>),
+        Q: Send,
+        P: Fn(Value, ParseDesc) -> Q + Sync,
+        C: FnMut(Ingest<'_, E, Q>),
     {
         let fields = shape.fields();
         let header = shape.header.as_deref().filter(|_| resume.offset == 0);
@@ -326,11 +364,6 @@ impl<'s> PadsParser<'s> {
             consume(Ingest::Whole(value, pd));
             return Ingested { budget, state, stop: None };
         };
-        let mut jobs = jobs;
-        if jobs > 1 && !shape.shardable() {
-            eprintln!("pads: source is not a plain record array; ignoring --jobs");
-            jobs = 1;
-        }
 
         // The source type's own events bracket the stream, as in a
         // whole-source parse.
@@ -376,14 +409,15 @@ impl<'s> PadsParser<'s> {
             jobs,
             start,
             observer,
-            |value, pd, extra, progress| {
-                records_nerr = records_nerr.saturating_add(pd.nerr);
-                if state == ParseState::Ok && has_syntax_error(&pd) {
-                    state = if fields.is_some() { ParseState::Partial } else { pd.state };
+            &project,
+            |rec: Folded<Q>, extra, progress| {
+                records_nerr = records_nerr.saturating_add(rec.nerr);
+                if let (ParseState::Ok, Some(syntax)) = (state, rec.syntax) {
+                    state = if fields.is_some() { ParseState::Partial } else { syntax };
                 }
                 last_start = at.0;
                 at = (progress.end_offset, progress.record + 1);
-                consume(Ingest::Record(value, pd, extra, progress));
+                consume(Ingest::Record(rec.item, extra, progress));
             },
         );
 
@@ -406,11 +440,11 @@ impl<'s> PadsParser<'s> {
 
     /// The record stream under [`ingest`](Self::ingest): parses `data` from
     /// `resume` on up to `jobs` workers and hands every merged record to
-    /// `consume` once, in record order, with its observer harvest and a
-    /// [`Progress`] cursor in **global** coordinates. Returns the final
-    /// budget.
+    /// `consume` once, in record order, projected where it was parsed, with
+    /// its observer harvest and a [`Progress`] cursor in **global**
+    /// coordinates. Returns the final budget.
     #[allow(clippy::too_many_arguments)]
-    fn shard_records<E, F, C>(
+    fn shard_records<E, F, Q, P, C>(
         &self,
         data: &[u8],
         name: &str,
@@ -418,12 +452,15 @@ impl<'s> PadsParser<'s> {
         jobs: usize,
         resume: ResumePoint,
         observer: Option<&F>,
+        project: &P,
         mut consume: C,
     ) -> ErrorBudget
     where
         E: Send,
         F: Fn() -> (WorkerObs, Box<dyn FnMut() -> E>) + Sync,
-        C: FnMut(Value, ParseDesc, Option<E>, &Progress),
+        Q: Send,
+        P: Fn(Value, ParseDesc) -> Q + Sync,
+        C: FnMut(Folded<Q>, Option<E>, &Progress),
     {
         let schema = self.schema();
         let registry = self.registry();
@@ -436,7 +473,7 @@ impl<'s> PadsParser<'s> {
         // Unknown names poison the iterator with a single error item, which
         // has no per-shard meaning: let one sequential "shard" handle it.
         let jobs = if schema.type_id(name).is_some() { jobs.max(1) } else { 1 };
-        let plan = par::plan_shards(tail, options.discipline, options.charset, jobs);
+        let plan = par::plan_chunks(tail, options.discipline, options.charset, jobs);
 
         // Workers cannot know how many errors earlier shards produced, so
         // they parse with source-level limits stripped; the merge (and the
@@ -463,25 +500,28 @@ impl<'s> PadsParser<'s> {
             (parser, Some(harvest))
         };
 
-        // Harvest closures are not `Send`, so each worker drains its own
-        // observer after every record and ships the delta with it.
-        let worker = |shard: &Shard, mut tx: ShardSender<(Value, ParseDesc), E>| {
+        // Each worker builds one parser for all its chunks. Harvest
+        // closures are not `Send`, so a worker drains its own observer
+        // after every record and ships the delta with it.
+        let worker = |chunks: &Chunks<'_, Folded<Q>, E>| {
             let (parser, mut harvest) = build(stripped);
-            let mut it = parser.records(&tail[shard.start..shard.end], name, mask);
-            let mut prev = it.budget();
-            while let Some((value, mut pd)) = it.next() {
-                pd.rebase(base + shard.start, resume.record + shard.first_record);
-                let after = it.budget();
-                let msg = RecordMsg {
-                    nerr: after.errs.saturating_sub(prev.errs) as u32,
-                    panic_skipped: after.panic_skipped.saturating_sub(prev.panic_skipped),
-                    end_offset: shard.start + it.offset(),
-                    extra: harvest.as_mut().map(|h| h()),
-                    item: (value, pd),
-                };
-                prev = after;
-                if !tx.send(msg) {
-                    break;
+            while let Some((shard, mut tx)) = chunks.next() {
+                let mut it = parser.records(&tail[shard.start..shard.end], name, mask);
+                let mut prev = it.budget();
+                while let Some((value, mut pd)) = it.next() {
+                    pd.rebase(base + shard.start, resume.record + shard.first_record);
+                    let after = it.budget();
+                    let msg = RecordMsg {
+                        nerr: after.errs.saturating_sub(prev.errs) as u32,
+                        panic_skipped: after.panic_skipped.saturating_sub(prev.panic_skipped),
+                        end_offset: shard.start + it.offset(),
+                        extra: harvest.as_mut().map(|h| h()),
+                        item: Folded::new(value, pd, project),
+                    };
+                    prev = after;
+                    if !tx.send(msg) {
+                        return;
+                    }
                 }
             }
         };
@@ -491,7 +531,7 @@ impl<'s> PadsParser<'s> {
         // need no rebase and the budget carries straight through. Without
         // a factory it runs on this parser, under its own observation.
         let replay = |from: par::ResumePoint,
-                      emit: &mut dyn FnMut((Value, ParseDesc), usize, ErrorBudget, Option<E>)| {
+                      emit: &mut dyn FnMut(Folded<Q>, usize, ErrorBudget, Option<E>)| {
             let (fresh, mut harvest) = match observer {
                 Some(_) => {
                     let (parser, harvest) = build(options);
@@ -510,10 +550,11 @@ impl<'s> PadsParser<'s> {
                     budget: from.budget,
                 },
             );
-            while let Some(item) = it.next() {
+            while let Some((value, pd)) = it.next() {
                 let budget = it.budget();
                 let end = it.offset() - base;
-                emit(item, end, budget, harvest.as_mut().map(|h| h()));
+                let extra = harvest.as_mut().map(|h| h());
+                emit(Folded::new(value, pd, project), end, budget, extra);
             }
             it.budget()
         };
@@ -522,16 +563,16 @@ impl<'s> PadsParser<'s> {
             &plan,
             &options.policy,
             resume.budget,
-            DEFAULT_MAX_INFLIGHT,
+            jobs,
             worker,
             replay,
-            |(value, pd), extra, p: &Progress| {
+            |rec, extra, p: &Progress| {
                 let global = Progress {
                     record: resume.record + p.record,
                     end_offset: base + p.end_offset,
                     budget: p.budget,
                 };
-                consume(value, pd, extra, &global);
+                consume(rec, extra, &global);
             },
         )
     }

@@ -81,8 +81,8 @@ pub use metrics::{MetricsCore, MetricsHandle, ObsSchema, TypeStat, WorkerObs};
 pub use name::Name;
 pub use observe::{RecoveryEvent, TraceEvent, TraceLog};
 pub use par::{
-    plan_shards, run_sharded, Progress, RecordMsg, ResumePoint, Shard, ShardPlan, ShardSender,
-    DEFAULT_MAX_INFLIGHT,
+    plan_chunks, plan_shards, run_sharded, Chunks, Progress, RecordMsg, ResumePoint, Shard,
+    ShardPlan, ShardSender, CHUNK_BYTES,
 };
 pub use pd::{ParseDesc, PdKind, SparseElts};
 pub use prim::{Prim, PrimKind};

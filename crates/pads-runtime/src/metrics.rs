@@ -31,6 +31,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::{ErrorCode, Loc};
@@ -94,6 +95,15 @@ pub struct ObsSchema {
     by_name: HashMap<String, u32>,
 }
 
+/// Two tables are equal when they assign the same ids to the same names.
+impl PartialEq for ObsSchema {
+    fn eq(&self, other: &ObsSchema) -> bool {
+        self.names == other.names
+    }
+}
+
+impl Eq for ObsSchema {}
+
 impl ObsSchema {
     /// Builds the table from a schema's type names, in id order.
     pub fn from_names<I, S>(names: I) -> ObsSchema
@@ -108,9 +118,14 @@ impl ObsSchema {
         s
     }
 
+    /// The id for `name`, if interned.
+    pub fn id(&self, name: &str) -> Option<u32> {
+        self.by_name.get(name).copied()
+    }
+
     /// The id for `name`, interning it if new.
     pub fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.by_name.get(name) {
+        if let Some(id) = self.id(name) {
             return id;
         }
         let id = self.names.len() as u32;
@@ -144,7 +159,9 @@ impl ObsSchema {
 /// from [`snapshot`](Self::snapshot).
 #[derive(Debug, Clone)]
 pub struct MetricsCore {
-    schema: ObsSchema,
+    /// Shared with the deltas [`drain`](Self::drain) takes, so a
+    /// per-record harvest does not copy the name table.
+    schema: Arc<ObsSchema>,
     /// Whether incoming dense ids are trusted to index `nodes` directly.
     /// True for cores built from a schema's own name table
     /// ([`with_names`](Self::with_names)); false for lazily-interning
@@ -205,7 +222,7 @@ impl MetricsCore {
     pub fn new() -> MetricsCore {
         let now = Instant::now();
         MetricsCore {
-            schema: ObsSchema::default(),
+            schema: Arc::default(),
             trust_ids: false,
             nodes: Vec::new(),
             errors_by_code: vec![0; NCODES],
@@ -236,7 +253,7 @@ impl MetricsCore {
         S: AsRef<str>,
     {
         let mut m = MetricsCore::new();
-        m.schema = ObsSchema::from_names(names);
+        m.schema = Arc::new(ObsSchema::from_names(names));
         m.nodes = vec![TypeStat::default(); m.schema.len()];
         m.trust_ids = true;
         m
@@ -303,7 +320,10 @@ impl MetricsCore {
 
     /// The slab index for `name`, interning it (and growing the slab).
     fn intern_node(&mut self, name: &str) -> u32 {
-        let idx = self.schema.intern(name);
+        let idx = match self.schema.id(name) {
+            Some(idx) => idx,
+            None => Arc::make_mut(&mut self.schema).intern(name),
+        };
         if idx as usize >= self.nodes.len() {
             self.nodes.resize(idx as usize + 1, TypeStat::default());
         }
@@ -546,13 +566,28 @@ impl MetricsCore {
     /// counter merging is order-independent. The latency summary folds
     /// too: its record count exactly, its sampled batches in merge order.
     pub fn merge(&mut self, other: &MetricsCore) {
-        for (i, t) in other.nodes.iter().enumerate() {
-            if *t == TypeStat::default() {
-                continue;
+        // Cores over one name table merge by index. A worker's deltas
+        // share its table, so after one comparison this core adopts the
+        // (equal) table and the next delta from that worker skips it.
+        if !Arc::ptr_eq(&self.schema, &other.schema) && self.schema == other.schema {
+            self.schema = Arc::clone(&other.schema);
+        }
+        if Arc::ptr_eq(&self.schema, &other.schema) {
+            if self.nodes.len() < other.nodes.len() {
+                self.nodes.resize(other.nodes.len(), TypeStat::default());
             }
-            if let Some(name) = other.schema.name(i as u32) {
-                let idx = self.intern_node(name);
-                self.nodes[idx as usize].add(*t);
+            for (mine, t) in self.nodes.iter_mut().zip(&other.nodes) {
+                mine.add(*t);
+            }
+        } else {
+            for (i, t) in other.nodes.iter().enumerate() {
+                if *t == TypeStat::default() {
+                    continue;
+                }
+                if let Some(name) = other.schema.name(i as u32) {
+                    let idx = self.intern_node(name);
+                    self.nodes[idx as usize].add(*t);
+                }
             }
         }
         for (i, &n) in other.errors_by_code.iter().enumerate() {
@@ -587,7 +622,7 @@ impl MetricsCore {
     /// after each drain.
     pub fn drain(&mut self) -> MetricsCore {
         let mut delta = MetricsCore::new();
-        delta.schema = self.schema.clone();
+        delta.schema = Arc::clone(&self.schema);
         delta.trust_ids = self.trust_ids;
         delta.nodes = std::mem::take(&mut self.nodes);
         self.nodes = vec![TypeStat::default(); delta.nodes.len()];
@@ -1028,6 +1063,35 @@ mod tests {
         let types = a.sorted_types();
         assert_eq!(types[0], ("x_t", TypeStat { hits: 2, bytes: 5, errors: 1 }));
         assert_eq!(types[1], ("y_t", TypeStat { hits: 1, bytes: 1, errors: 0 }));
+    }
+
+    #[test]
+    fn merge_over_equal_tables_matches_merge_by_name() {
+        // Two workers' cores over equal but separate tables, drained per
+        // record into one core, must count what name-keyed merging into a
+        // lazily-interning core counts.
+        let names = ["x_t", "y_t", "z_t"];
+        let mut by_index = MetricsCore::with_names(names);
+        let mut by_name = MetricsCore::new();
+        let mut workers = [MetricsCore::with_names(names), MetricsCore::with_names(names)];
+        for round in 0..4u32 {
+            for (w, core) in workers.iter_mut().enumerate() {
+                let id = (round as usize + w) % names.len();
+                core.exit_id(id as u32, names[id], 0, 3 + w, round % 2);
+                core.note_record(3 + w as u64, round % 2);
+                let delta = core.drain();
+                assert!(Arc::ptr_eq(&delta.schema, &core.schema), "a delta shares the table");
+                by_index.merge(&delta);
+                by_name.merge(&delta);
+            }
+        }
+        assert_eq!(by_index.sorted_types(), by_name.sorted_types());
+        assert_eq!(by_index.snapshot(), by_name.snapshot());
+        // A name this core never saw still interns after adopting a table.
+        by_index.exit_id(9, "new_t", 0, 1, 0);
+        assert_eq!(by_index.sorted_types().len(), 4);
+        assert_eq!(workers[0].sorted_types().len(), 0, "the worker's table is untouched");
+        assert_eq!(workers[0].schema.len(), 3);
     }
 
     /// Counts one parse of `name` spanning `bytes` (beyond what a

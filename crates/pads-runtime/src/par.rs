@@ -5,14 +5,29 @@
 //! *embarrassingly splittable*: a newline-delimited source can be cut at any
 //! newline, a fixed-width source at any multiple of the width, and both
 //! halves parsed independently, because every record-bounded read is
-//! position-independent. This module exploits that: [`plan_shards`] splits a
-//! source into contiguous shards at record boundaries found by the
-//! [`scan`](crate::scan) kernels, and [`run_sharded`] parses the shards on
-//! worker threads that *stream* records, in small chunks, through bounded
-//! channels into an in-order merge, so about `max_inflight` records per
-//! shard are ever retained — the merge consumes each record the moment its
-//! turn comes, which is what lets a checkpoint journal commit
-//! progressively during a parallel run.
+//! position-independent. This module exploits that: [`plan_chunks`] cuts a
+//! source into record-aligned chunks (the shards of a [`ShardPlan`], found
+//! by the [`scan`](crate::scan) kernels), and [`run_sharded`] parses them on
+//! a pool of worker threads feeding an in-order merge that hands each
+//! record to the consumer the moment its turn comes — which is what lets a
+//! checkpoint journal commit progressively during a parallel run.
+//!
+//! # The pool
+//!
+//! - **Chunks.** A plan holds about one chunk per [`CHUNK_BYTES`] of
+//!   input, and at least four per job when the source has that many
+//!   records, so no worker sits idle behind one long shard.
+//! - **Threads.** `min(jobs, chunks)` workers. Each builds its parser once
+//!   (names, regex cache, VM program) and then claims chunks in source
+//!   order through [`Chunks::next`].
+//! - **Window.** A worker claims a chunk only while fewer than two chunks
+//!   per worker are ahead of the merge. It parses the claimed chunk whole
+//!   and hands it over whole, so it never stalls mid-chunk, and the
+//!   records in flight stay O(jobs × chunk).
+//! - **Worker-side projection.** A record's [`RecordMsg::item`] is built
+//!   on the worker. A consumer that keeps only what it reads (say, the
+//!   descriptors of records with errors) has each record tree freed on
+//!   the thread that allocated it, not on the merge thread.
 //!
 //! # Determinism contract
 //!
@@ -21,16 +36,16 @@
 //! every [`OnExhausted`](crate::recovery::OnExhausted) mode. Two mechanisms
 //! guarantee it:
 //!
-//! 1. **Workers parse with source-level limits stripped.** A shard cannot
-//!    know how many errors earlier shards produced, so workers run with
+//! 1. **Workers parse with source-level limits stripped.** A chunk cannot
+//!    know how many errors earlier chunks produced, so workers run with
 //!    `max_errs`/`max_panic_skip` removed (the per-record
 //!    `max_record_errs` cap is positional and stays). The merge folds each
 //!    record's error delta into the cumulative budget in record order; as
 //!    long as that fold never crosses a limit, the sequential engine would
-//!    not have degraded either, and the streamed records are exactly its
+//!    not have degraded either, and the merged records are exactly its
 //!    output.
 //! 2. **Sequential replay from the first divergence.** The first record
-//!    whose fold crosses a source limit — or the first shard that produces
+//!    whose fold crosses a source limit — or the first chunk that holds
 //!    fewer records than planned (a panicked worker surfaces this way) —
 //!    is the first point where sequential behaviour could differ. The
 //!    merge stops *before consuming that record* and re-parses from its
@@ -41,7 +56,8 @@
 //!    sequential engine fires it; `Stop` then ends after that record,
 //!    `SkipRecord` and `BestEffort` continue under their degraded modes.
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use crate::encoding::Charset;
@@ -105,19 +121,19 @@ impl ShardPlan {
     }
 }
 
-/// Splits `data` into at most `jobs` contiguous shards at record boundaries
-/// of `disc`. With `jobs <= 1`, an empty source, or the
+/// Splits `data` into at most `shards` contiguous shards at record
+/// boundaries of `disc`. With `shards <= 1`, an empty source, or the
 /// [`RecordDiscipline::None`] discipline (the whole source is one record),
 /// the plan is a single shard.
 ///
 /// Shards are byte-balanced: each interior boundary is the first record
 /// boundary at or after an even byte split. Sources with fewer boundaries
-/// than jobs simply produce fewer shards.
+/// than shards simply produce fewer shards.
 pub fn plan_shards(
     data: &[u8],
     disc: RecordDiscipline,
     charset: Charset,
-    jobs: usize,
+    shards: usize,
 ) -> ShardPlan {
     let len = data.len();
     match disc {
@@ -132,13 +148,13 @@ pub fn plan_shards(
                 }
                 n
             };
-            if jobs <= 1 || len == 0 {
+            if shards <= 1 || len == 0 {
                 return ShardPlan::single(len, records_in(0, len));
             }
-            let mut bounds = Vec::with_capacity(jobs - 1);
+            let mut bounds = Vec::with_capacity(shards - 1);
             let mut prev = 0usize;
-            for i in 1..jobs {
-                let target = len * i / jobs;
+            for i in 1..shards {
+                let target = len * i / shards;
                 let from = target.max(prev);
                 if from >= len {
                     break;
@@ -159,13 +175,13 @@ pub fn plan_shards(
             }
             let total = len.div_ceil(w);
             let records_in = |s: usize, e: usize| (e - s).div_ceil(w);
-            if jobs <= 1 || len == 0 {
+            if shards <= 1 || len == 0 {
                 return ShardPlan::single(len, total);
             }
-            let mut bounds = Vec::with_capacity(jobs - 1);
+            let mut bounds = Vec::with_capacity(shards - 1);
             let mut prev = 0usize;
-            for i in 1..jobs {
-                let b = (total * i / jobs) * w;
+            for i in 1..shards {
+                let b = (total * i / shards) * w;
                 if b > prev && b < len {
                     bounds.push(b);
                     prev = b;
@@ -209,18 +225,18 @@ pub fn plan_shards(
                 pos = body + rec_len;
             }
             let total = starts.len();
-            let records_in = |s: usize, e: usize| {
-                starts.iter().filter(|&&p| s <= p && p < e).count()
-            };
-            if jobs <= 1 || total <= 1 {
+            // `starts` is strictly increasing, so both the per-shard counts
+            // and the boundary searches are binary searches.
+            let first_at = |p: usize| starts.partition_point(|&s| s < p);
+            let records_in = |s: usize, e: usize| first_at(e) - first_at(s);
+            if shards <= 1 || total <= 1 {
                 return ShardPlan::single(len, total);
             }
-            let mut bounds = Vec::with_capacity(jobs - 1);
+            let mut bounds = Vec::with_capacity(shards - 1);
             let mut prev = 0usize;
-            for i in 1..jobs {
-                let target = len * i / jobs;
+            for i in 1..shards {
                 // First record start at or after the even byte split.
-                if let Some(&b) = starts.iter().find(|&&p| p >= target) {
+                if let Some(&b) = starts.get(first_at(len * i / shards)) {
                     if b > prev && b < len {
                         bounds.push(b);
                         prev = b;
@@ -232,21 +248,39 @@ pub fn plan_shards(
     }
 }
 
-/// Default bound on in-flight records per shard channel: deep enough to
-/// decouple workers from merge stalls, shallow enough to keep retained
-/// memory O(jobs · max_inflight) instead of O(all records).
-pub const DEFAULT_MAX_INFLIGHT: usize = 1024;
+/// Input bytes the pool aims to put in one chunk: large enough that a
+/// claim and a handover cost nothing beside parsing the chunk, small
+/// enough that a window of chunks per worker holds little memory.
+pub const CHUNK_BYTES: usize = 128 * 1024;
 
-/// Records a worker batches into one channel message. One message per
-/// record made the channel hop cost more than parsing a short record; a
-/// chunk amortises it while the merge still folds the budget record by
-/// record, so trips and replays land on the exact record as before.
-const CHUNK_RECORDS: usize = 64;
+/// Chunks per job a plan is cut into at least, when the source has the
+/// records for it, so the pool keeps balancing load to the end.
+const CHUNKS_PER_JOB: usize = 4;
 
-/// One parsed record streamed from a worker to the in-order merge.
+/// Chunks per worker the pool may hold ahead of the merge: one being
+/// merged or queued, one being parsed.
+const WINDOW_PER_WORKER: usize = 2;
+
+/// Cuts `data` into the record-aligned chunks [`run_sharded`] hands its
+/// workers: one shard with `jobs <= 1` (the sequential engine needs no
+/// cut), else about one per [`CHUNK_BYTES`] and at least four per job.
+pub fn plan_chunks(
+    data: &[u8],
+    disc: RecordDiscipline,
+    charset: Charset,
+    jobs: usize,
+) -> ShardPlan {
+    let chunks = match jobs {
+        0 | 1 => 1,
+        _ => (data.len() / CHUNK_BYTES).max(jobs.saturating_mul(CHUNKS_PER_JOB)),
+    };
+    plan_shards(data, disc, charset, chunks)
+}
+
+/// One parsed record handed from a worker to the in-order merge.
 #[derive(Debug)]
 pub struct RecordMsg<T, E> {
-    /// The parsed item (value + descriptor in the real engines).
+    /// The record as the consumer wants it, built on the worker.
     pub item: T,
     /// Errors this record added to the budget (the `note_record` delta).
     pub nerr: u32,
@@ -259,40 +293,125 @@ pub struct RecordMsg<T, E> {
     pub extra: Option<E>,
 }
 
-/// The sending half a worker streams its shard's records through. Records
-/// travel in chunks of [`CHUNK_RECORDS`]; the channel is bounded, so `send`
-/// blocks once about `max_inflight` records are queued ahead of the merge.
-/// Dropping the sender — including while a panicking worker unwinds —
-/// flushes the partial chunk, so every record a worker finished reaches
-/// the merge.
+/// A chunk's parsed records, handed over whole: (chunk index, records).
+type Handover<T, E> = (usize, Vec<RecordMsg<T, E>>);
+
+/// What the workers and the merge share: which chunk is claimed next, how
+/// many chunks the merge has finished, and whether it stopped taking
+/// records.
 #[derive(Debug)]
-pub struct ShardSender<T, E> {
-    tx: mpsc::SyncSender<Vec<RecordMsg<T, E>>>,
-    chunk: Vec<RecordMsg<T, E>>,
+struct Pool {
+    claims: Mutex<Claims>,
+    turn: Condvar,
+    /// Set once the merge stops taking records. It publishes no other
+    /// data, so `Relaxed` suffices: [`ShardSender::send`] reads it
+    /// without the lock only to quit early, and [`Pool::stop`] sets it
+    /// under the lock that [`Pool::claim`] reads it under.
+    stopped: AtomicBool,
+    chunks: usize,
+    window: usize,
 }
 
-impl<T, E> ShardSender<T, E> {
-    /// Queues one record for the merge, blocking while the channel is at
-    /// capacity. Returns `false` when the merge has hung up (it diverted to
-    /// sequential replay or consumed the shard's planned record count) —
-    /// the worker should stop parsing.
-    pub fn send(&mut self, msg: RecordMsg<T, E>) -> bool {
-        self.chunk.push(msg);
-        self.chunk.len() < CHUNK_RECORDS || self.flush()
+#[derive(Debug)]
+struct Claims {
+    next: usize,
+    merged: usize,
+}
+
+impl Pool {
+    /// The claim state. Each update is one field assignment, so the state
+    /// is valid even if a thread panicked while holding the lock.
+    fn lock(&self) -> MutexGuard<'_, Claims> {
+        self.claims.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn flush(&mut self) -> bool {
-        if self.chunk.is_empty() {
-            return true;
+    /// The next chunk in source order, once it is inside the window;
+    /// `None` when every chunk is claimed or the merge stopped.
+    fn claim(&self) -> Option<usize> {
+        let mut claims = self.lock();
+        loop {
+            if self.stopped.load(Ordering::Relaxed) || claims.next >= self.chunks {
+                return None;
+            }
+            if claims.next < claims.merged + self.window {
+                claims.next += 1;
+                return Some(claims.next - 1);
+            }
+            claims = self.turn.wait(claims).unwrap_or_else(PoisonError::into_inner);
         }
-        let chunk = std::mem::replace(&mut self.chunk, Vec::with_capacity(CHUNK_RECORDS));
-        self.tx.send(chunk).is_ok()
+    }
+
+    fn merged(&self, chunks: usize) {
+        self.lock().merged = chunks;
+        self.turn.notify_all();
+    }
+
+    fn stop(&self) {
+        let claims = self.lock();
+        self.stopped.store(true, Ordering::Relaxed);
+        drop(claims);
+        self.turn.notify_all();
     }
 }
 
-impl<T, E> Drop for ShardSender<T, E> {
+/// Stops the pool however the merge ends — a trip, a short chunk, or a
+/// panicking consumer — so no worker waits for a window that never opens.
+struct StopOnDrop<'p>(&'p Pool);
+
+impl Drop for StopOnDrop<'_> {
     fn drop(&mut self) {
-        self.flush();
+        self.0.stop();
+    }
+}
+
+/// A worker thread's handle on the pool: [`next`](Chunks::next) claims
+/// the plan's chunks in source order.
+#[derive(Debug)]
+pub struct Chunks<'p, T, E> {
+    pool: &'p Pool,
+    plan: &'p ShardPlan,
+    tx: mpsc::Sender<Handover<T, E>>,
+}
+
+impl<'p, T, E> Chunks<'p, T, E> {
+    /// Claims the next chunk, blocking while the window is full. Returns
+    /// the chunk and the sender its records go through, or `None` once
+    /// every chunk is claimed or the merge stopped — the worker ends.
+    pub fn next(&self) -> Option<(&'p Shard, ShardSender<'_, T, E>)> {
+        let index = self.pool.claim()?;
+        let shard = self.plan.shards.get(index)?;
+        let records = Vec::with_capacity(shard.records);
+        Some((shard, ShardSender { index, records, tx: &self.tx, stopped: &self.pool.stopped }))
+    }
+}
+
+/// Collects one chunk's records for the merge. Dropping the sender —
+/// including while a panicking worker unwinds — hands the chunk over, so
+/// every record a worker finished reaches the merge; a short chunk makes
+/// the merge replay from its first missing record.
+#[derive(Debug)]
+pub struct ShardSender<'c, T, E> {
+    index: usize,
+    records: Vec<RecordMsg<T, E>>,
+    tx: &'c mpsc::Sender<Handover<T, E>>,
+    stopped: &'c AtomicBool,
+}
+
+impl<T, E> ShardSender<'_, T, E> {
+    /// Adds one record to the chunk. Returns `false` once the merge has
+    /// stopped taking records (it diverted to sequential replay) — the
+    /// worker should stop parsing.
+    pub fn send(&mut self, msg: RecordMsg<T, E>) -> bool {
+        self.records.push(msg);
+        !self.stopped.load(Ordering::Relaxed)
+    }
+}
+
+impl<T, E> Drop for ShardSender<'_, T, E> {
+    fn drop(&mut self) {
+        let records = std::mem::take(&mut self.records);
+        // A merge that already ended has no use for the chunk.
+        let _ = self.tx.send((self.index, records));
     }
 }
 
@@ -323,31 +442,31 @@ pub struct ResumePoint {
     pub budget: ErrorBudget,
 }
 
-/// Parses a planned source on one thread per shard, streaming records
-/// through bounded channels into an in-order merge that hands each record
-/// to `consume` the moment its turn comes.
+/// Parses a planned source on a pool of `min(jobs, chunks)` worker
+/// threads feeding an in-order merge that hands each record to `consume`
+/// the moment its turn comes.
 ///
-/// `worker` parses one shard, sending a [`RecordMsg`] per record through
-/// its [`ShardSender`], which batches them into chunks (it must strip
-/// source-level limits from its policy — see the module docs — and stop
-/// when `send` returns `false`). `replay`
-/// parses sequentially from a [`ResumePoint`] **to the end of the plan**
-/// under the full `policy`, calling its emit callback with
-/// `(item, end_offset, budget_after_record, extra)` per record and
+/// `worker` runs once per thread: it builds its parser, then claims
+/// chunks through [`Chunks::next`] and sends a [`RecordMsg`] per record
+/// through the chunk's [`ShardSender`] (it must strip source-level limits
+/// from its policy — see the module docs — and stop when `send` returns
+/// `false`). `replay` parses sequentially from a [`ResumePoint`] **to the
+/// end of the plan** under the full `policy`, calling its emit callback
+/// with `(item, end_offset, budget_after_record, extra)` per record and
 /// returning the final budget. `consume` receives every merged record, in
 /// record order, exactly once.
 ///
 /// `carried` is the budget tally at the plan's start (non-default when
-/// resuming from a checkpoint). With a single shard — or a carried budget
-/// already exhausted or stopped — the whole plan goes through `replay`,
-/// which streams with O(1) retention by construction.
+/// resuming from a checkpoint). With a single chunk — or a carried budget
+/// already exhausted or stopped — the whole plan goes through `replay` on
+/// the calling thread, which streams with O(1) retention by construction.
 ///
 /// Returns the final cumulative budget.
 pub fn run_sharded<T, E, W, R, C>(
     plan: &ShardPlan,
     policy: &RecoveryPolicy,
     carried: ErrorBudget,
-    max_inflight: usize,
+    jobs: usize,
     worker: W,
     replay: R,
     mut consume: C,
@@ -355,7 +474,7 @@ pub fn run_sharded<T, E, W, R, C>(
 where
     T: Send,
     E: Send,
-    W: Fn(&Shard, ShardSender<T, E>) + Sync,
+    W: Fn(&Chunks<'_, T, E>) + Sync,
     R: FnOnce(ResumePoint, &mut dyn FnMut(T, usize, ErrorBudget, Option<E>)) -> ErrorBudget,
     C: FnMut(T, Option<E>, &Progress),
 {
@@ -368,65 +487,100 @@ where
     let mut next_record = 0usize;
     let mut divert: Option<ResumePoint> = None;
     if shards.len() <= 1 || carried.exhausted() {
-        // One shard gains nothing from a worker thread, and an exhausted
+        // One chunk gains nothing from a worker thread, and an exhausted
         // carried budget degrades from the very first record: both stream
         // through the sequential engine directly.
         divert = Some(ResumePoint { offset: 0, record: 0, budget: carried });
     } else {
+        let threads = jobs.max(1).min(shards.len());
+        let pool = Pool {
+            claims: Mutex::new(Claims { next: 0, merged: 0 }),
+            turn: Condvar::new(),
+            stopped: AtomicBool::new(false),
+            chunks: shards.len(),
+            window: WINDOW_PER_WORKER * threads,
+        };
+        let (tx, rx) = mpsc::channel::<Handover<T, E>>();
         thread::scope(|scope| {
-            let worker = &worker;
-            let mut handles = Vec::with_capacity(shards.len());
-            let mut rxs = Vec::with_capacity(shards.len());
-            for sh in shards {
-                let (tx, rx) = mpsc::sync_channel((max_inflight / CHUNK_RECORDS).max(1));
-                let sender = ShardSender { tx, chunk: Vec::with_capacity(CHUNK_RECORDS) };
-                handles.push(scope.spawn(move || worker(sh, sender)));
-                rxs.push(rx);
-            }
-            let mut prev_end = 0usize;
-            'merge: for (i, rx) in rxs.iter().enumerate() {
-                let mut chunk = Vec::new().into_iter();
-                for _ in 0..shards[i].records {
-                    let Some(msg) = chunk.next().or_else(|| {
-                        chunk = rx.recv().ok()?.into_iter();
-                        chunk.next()
-                    }) else {
-                        // The worker hung up short of its planned record
-                        // count (panic safety net, or framing disagreement):
-                        // sequential replay takes over from the last
-                        // consumed boundary.
-                        divert =
-                            Some(ResumePoint { offset: prev_end, record: next_record, budget: cum });
-                        break 'merge;
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let chunks = Chunks { pool: &pool, plan, tx: tx.clone() };
+                    let worker = &worker;
+                    scope.spawn(move || worker(&chunks))
+                })
+                .collect();
+            // The merge holds no sender, so `recv` fails once every worker
+            // has ended: nothing more can arrive.
+            drop(tx);
+            {
+                let _stop = StopOnDrop(&pool);
+                // Chunks that arrived ahead of their turn.
+                let mut early: Vec<Option<Vec<RecordMsg<T, E>>>> =
+                    std::iter::repeat_with(|| None).take(shards.len()).collect();
+                let mut prev_end = 0usize;
+                'merge: for (i, shard) in shards.iter().enumerate() {
+                    let chunk = loop {
+                        if let Some(chunk) = early.get_mut(i).and_then(Option::take) {
+                            break Some(chunk);
+                        }
+                        match rx.recv() {
+                            Ok((k, chunk)) => {
+                                if let Some(slot) = early.get_mut(k) {
+                                    *slot = Some(chunk);
+                                }
+                            }
+                            Err(_) => break None,
+                        }
                     };
-                    let before = cum;
-                    cum.note_record(policy, msg.nerr, msg.panic_skipped);
-                    if cum.exhausted() && !before.exhausted() {
-                        // This record trips a source limit. Do not consume
-                        // it: replay re-parses it under the full policy so
-                        // the degradation (and its observer transition)
-                        // lands exactly where the sequential engine puts it.
-                        cum = before;
-                        divert = Some(ResumePoint {
-                            offset: prev_end,
-                            record: next_record,
-                            budget: before,
-                        });
-                        break 'merge;
+                    let mut records = chunk.unwrap_or_default().into_iter();
+                    for _ in 0..shard.records {
+                        let Some(msg) = records.next() else {
+                            // The chunk came back short of its planned
+                            // record count (a worker panicked, or framing
+                            // disagrees): sequential replay takes over
+                            // from the last consumed boundary.
+                            divert = Some(ResumePoint {
+                                offset: prev_end,
+                                record: next_record,
+                                budget: cum,
+                            });
+                            break 'merge;
+                        };
+                        let before = cum;
+                        cum.note_record(policy, msg.nerr, msg.panic_skipped);
+                        if cum.exhausted() && !before.exhausted() {
+                            // This record trips a source limit. Do not
+                            // consume it: replay re-parses it under the
+                            // full policy so the degradation (and its
+                            // observer transition) lands exactly where the
+                            // sequential engine puts it.
+                            cum = before;
+                            divert = Some(ResumePoint {
+                                offset: prev_end,
+                                record: next_record,
+                                budget: before,
+                            });
+                            break 'merge;
+                        }
+                        consume(
+                            msg.item,
+                            msg.extra,
+                            &Progress {
+                                record: next_record,
+                                end_offset: msg.end_offset,
+                                budget: cum,
+                            },
+                        );
+                        next_record += 1;
+                        prev_end = msg.end_offset;
                     }
-                    consume(
-                        msg.item,
-                        msg.extra,
-                        &Progress { record: next_record, end_offset: msg.end_offset, budget: cum },
-                    );
-                    next_record += 1;
-                    prev_end = msg.end_offset;
+                    pool.merged(i + 1);
                 }
             }
-            // Dropping the receivers unblocks any worker parked on a full
-            // channel (its next send returns false); join to absorb worker
-            // panics — a panicked shard already diverted to replay above.
-            drop(rxs);
+            // The pool is stopped: workers finish their chunk and end.
+            // Join them to absorb worker panics — a panicked worker's chunk
+            // came back short and already diverted to replay above.
+            drop(rx);
             for h in handles {
                 let _ = h.join();
             }
@@ -447,9 +601,10 @@ mod tests {
     use super::*;
     use crate::encoding::Endian;
     use crate::recovery::OnExhausted;
+    use std::sync::atomic::AtomicUsize;
 
-    fn newline_plan(data: &[u8], jobs: usize) -> ShardPlan {
-        plan_shards(data, RecordDiscipline::Newline, Charset::Ascii, jobs)
+    fn newline_plan(data: &[u8], shards: usize) -> ShardPlan {
+        plan_shards(data, RecordDiscipline::Newline, Charset::Ascii, shards)
     }
 
     fn assert_plan_invariants(data: &[u8], plan: &ShardPlan, expected_records: usize) {
@@ -536,27 +691,54 @@ mod tests {
         assert_plan_invariants(&data, &plan, 2);
     }
 
-    // A toy "parser" for run_sharded tests: each record is one newline-line;
-    // lines containing 'X' count one error each. Workers stream each line
-    // with its error delta and end offset; `extra` marks worker-parsed
-    // records so tests can tell streamed output from replayed output.
-    fn toy_worker(data: &[u8]) -> impl Fn(&Shard, ShardSender<String, u64>) + Sync + '_ {
-        move |shard, mut tx| {
-            for (line, end) in split_records(data, shard.start, shard.end) {
-                let nerr = u32::from(line.contains(&b'X'));
-                let msg = RecordMsg {
-                    item: String::from_utf8_lossy(line).into_owned(),
-                    nerr,
-                    panic_skipped: 0,
-                    end_offset: end,
-                    extra: Some(1),
-                };
-                if !tx.send(msg) {
-                    break;
-                }
+    #[test]
+    fn length_prefixed_many_chunk_plans_cut_at_record_starts() {
+        // 3000 records of 0..=9 body bytes behind 2-byte little-endian
+        // headers, cut into hundreds of chunks.
+        let mut data = Vec::new();
+        let mut starts = Vec::new();
+        for i in 0..3000u16 {
+            starts.push(data.len());
+            let body = usize::from(i % 10);
+            data.extend_from_slice(&(body as u16).to_le_bytes());
+            data.resize(data.len() + body, b'r');
+        }
+        let disc = RecordDiscipline::LengthPrefixed { header_bytes: 2, endian: Endian::Little };
+        for chunks in [2, 64, 700, 5000] {
+            let plan = plan_shards(&data, disc, Charset::Ascii, chunks);
+            assert_plan_invariants(&data, &plan, starts.len());
+            assert!(plan.shards.len() > chunks.min(3000) / 2, "{chunks}: {}", plan.shards.len());
+            for s in &plan.shards {
+                assert!(starts.binary_search(&s.start).is_ok(), "{} not a record start", s.start);
+                assert!(s.records > 0, "chunk {} is empty", s.index);
             }
         }
     }
+
+    #[test]
+    fn chunk_plans_give_every_job_several_chunks() {
+        let chunks = |data: &[u8], jobs| {
+            plan_chunks(data, RecordDiscipline::Newline, Charset::Ascii, jobs)
+        };
+        let data = numbered_lines(1000, &[]);
+        assert_eq!(chunks(&data, 1).shards.len(), 1);
+        for jobs in [2, 4] {
+            let plan = chunks(&data, jobs);
+            assert_plan_invariants(&data, &plan, 1000);
+            assert_eq!(plan.shards.len(), CHUNKS_PER_JOB * jobs);
+        }
+        // A large source is cut by size.
+        let big = numbered_lines(60_000, &[]);
+        let plan = chunks(&big, 2);
+        assert_plan_invariants(&big, &plan, 60_000);
+        assert!(plan.shards.len() >= big.len() / CHUNK_BYTES);
+        assert!(plan.shards.iter().all(|s| s.end - s.start <= CHUNK_BYTES + 16));
+    }
+
+    // A toy "parser" for run_sharded tests: each record is one newline-line;
+    // lines containing 'X' count one error each. Workers send each line
+    // with its error delta and end offset; `extra` marks worker-parsed
+    // records so tests can tell merged worker output from replayed output.
 
     // The sequential "engine": parses from the resume point to the source
     // end with the full policy, stopping/degrading as the policy dictates.
@@ -602,12 +784,73 @@ mod tests {
         out
     }
 
+    #[derive(Debug)]
     struct ToyRun {
         items: Vec<String>,
         budget: ErrorBudget,
         /// Records consumed from workers (vs. replayed).
         streamed: u64,
         progress: Vec<Progress>,
+        /// Chunks claimed while the merge was a full window behind.
+        overruns: usize,
+    }
+
+    /// Runs the toy engine over `plan` on `jobs` workers. A worker panics
+    /// on global record `panic_at`, and counts every claim made while
+    /// the merge had not yet finished the chunk a full window back.
+    fn run_toy_plan(
+        data: &[u8],
+        plan: &ShardPlan,
+        policy: RecoveryPolicy,
+        jobs: usize,
+        carried: ErrorBudget,
+        panic_at: Option<usize>,
+    ) -> ToyRun {
+        let consumed = AtomicUsize::new(0);
+        let overruns = AtomicUsize::new(0);
+        let window = WINDOW_PER_WORKER * jobs.max(1).min(plan.shards.len());
+        let worker = |chunks: &Chunks<'_, String, u64>| {
+            while let Some((shard, mut tx)) = chunks.next() {
+                if let Some(back) = shard.index.checked_sub(window) {
+                    let merged = consumed.load(Ordering::SeqCst);
+                    if merged < plan.shards[back].first_record + plan.shards[back].records {
+                        overruns.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+                let records = split_records(data, shard.start, shard.end);
+                for (k, (line, end)) in records.into_iter().enumerate() {
+                    assert!(Some(shard.first_record + k) != panic_at, "worker panic safety net");
+                    let msg = RecordMsg {
+                        item: String::from_utf8_lossy(line).into_owned(),
+                        nerr: u32::from(line.contains(&b'X')),
+                        panic_skipped: 0,
+                        end_offset: end,
+                        extra: Some(1),
+                    };
+                    if !tx.send(msg) {
+                        return;
+                    }
+                }
+            }
+        };
+        let mut items = Vec::new();
+        let mut streamed = 0;
+        let mut progress = Vec::new();
+        let budget = run_sharded(
+            plan,
+            &policy,
+            carried,
+            jobs,
+            worker,
+            toy_replay(data, policy),
+            |item, extra, p: &Progress| {
+                items.push(item);
+                streamed += extra.unwrap_or(0);
+                progress.push(*p);
+                consumed.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        ToyRun { items, budget, streamed, progress, overruns: overruns.into_inner() }
     }
 
     fn run_toy_resumed(
@@ -616,24 +859,10 @@ mod tests {
         jobs: usize,
         carried: ErrorBudget,
     ) -> ToyRun {
-        let plan = newline_plan(data, jobs);
-        let mut items = Vec::new();
-        let mut streamed = 0;
-        let mut progress = Vec::new();
-        let budget = run_sharded(
-            &plan,
-            &policy,
-            carried,
-            4,
-            toy_worker(data),
-            toy_replay(data, policy),
-            |item, extra, p: &Progress| {
-                items.push(item);
-                streamed += extra.unwrap_or(0);
-                progress.push(*p);
-            },
-        );
-        ToyRun { items, budget, streamed, progress }
+        let plan = plan_chunks(data, RecordDiscipline::Newline, Charset::Ascii, jobs);
+        let run = run_toy_plan(data, &plan, policy, jobs, carried, None);
+        assert_eq!(run.overruns, 0, "jobs={jobs}: the window was exceeded");
+        run
     }
 
     fn run_toy(data: &[u8], policy: RecoveryPolicy, jobs: usize) -> ToyRun {
@@ -706,8 +935,8 @@ mod tests {
 
     #[test]
     fn clean_prefix_records_stream_before_a_trip() {
-        // The trip is in the last shard: every record before it must have
-        // been consumed straight off the worker channels, not replayed.
+        // The trip is in the last chunk: every record before it must have
+        // been consumed straight off the workers, not replayed.
         let policy = RecoveryPolicy::unlimited().with_max_errs(0);
         let data = b"a\nb\nc\nd\ne\nf\ng\nXlast\n";
         let par = run_toy(data, policy, 4);
@@ -752,22 +981,18 @@ mod tests {
 
     #[test]
     fn tight_channel_bound_still_merges_everything() {
+        // One worker over twelve one-record chunks: its window holds two,
+        // so it waits for the merge at nearly every claim.
         let data = b"a\nb\nc\nd\ne\nf\ng\nh\ni\nj\nk\nl\n";
-        let plan = newline_plan(data, 3);
-        let mut items = Vec::new();
+        let plan = newline_plan(data, data.len());
+        assert_eq!(plan.shards.len(), 12);
         let policy = RecoveryPolicy::unlimited();
-        let budget = run_sharded(
-            &plan,
-            &policy,
-            ErrorBudget::new(),
-            1, // max_inflight: every worker blocks after one queued record
-            toy_worker(data),
-            toy_replay(data, policy),
-            |item: String, _extra, _p: &Progress| items.push(item),
-        );
+        let run = run_toy_plan(data, &plan, policy, 1, ErrorBudget::new(), None);
         let seq = run_toy(data, policy, 1);
-        assert_eq!(items, seq.items);
-        assert_eq!(budget, seq.budget);
+        assert_eq!(run.items, seq.items);
+        assert_eq!(run.budget, seq.budget);
+        assert_eq!(run.streamed, 12, "every record came off the worker");
+        assert_eq!(run.overruns, 0);
     }
 
     /// `n` newline records, those at the `bad` indices carrying an error.
@@ -778,66 +1003,57 @@ mod tests {
             .into_bytes()
     }
 
+    /// Eight chunks of 50 records: at one job a single worker holds every
+    /// chunk, at two each worker holds several.
+    fn eight_chunks(data: &[u8]) -> ShardPlan {
+        let plan = newline_plan(data, 8);
+        assert_eq!(plan.shards.len(), 8);
+        plan
+    }
+
     #[test]
     fn budget_trip_mid_chunk_diverts_at_the_exact_record() {
-        // Two shards of 200 records; the trip lands inside the second
-        // chunk of the first shard.
-        let trip = CHUNK_RECORDS + CHUNK_RECORDS / 2 + 4;
-        let data = numbered_lines(400, &[10, trip, 300]);
+        // The trip lands mid-way through chunk 5 — a later chunk of
+        // whichever worker holds it.
+        let trip = 5 * 50 + 17;
+        let data = numbered_lines(400, &[10, trip, 390]);
+        let plan = eight_chunks(&data);
         for mode in [OnExhausted::Stop, OnExhausted::SkipRecord, OnExhausted::BestEffort] {
             let policy = RecoveryPolicy::unlimited().with_max_errs(1).with_on_exhausted(mode);
             let seq = run_toy(&data, policy, 1);
-            let par = run_toy(&data, policy, 2);
-            assert_eq!(par.items, seq.items, "{mode:?}");
-            assert_eq!(par.budget, seq.budget, "{mode:?}");
-            assert_eq!(par.progress, seq.progress, "{mode:?}");
-            assert_eq!(par.streamed, trip as u64, "{mode:?}: the merge diverts at the trip");
+            for jobs in [1, 2, 3] {
+                let par = run_toy_plan(&data, &plan, policy, jobs, ErrorBudget::new(), None);
+                assert_eq!(par.items, seq.items, "{mode:?} jobs={jobs}");
+                assert_eq!(par.budget, seq.budget, "{mode:?} jobs={jobs}");
+                assert_eq!(par.progress, seq.progress, "{mode:?} jobs={jobs}");
+                assert_eq!(par.streamed, trip as u64, "{mode:?} jobs={jobs}: diverts at the trip");
+                assert_eq!(par.overruns, 0, "{mode:?} jobs={jobs}: window exceeded");
+            }
         }
     }
 
     #[test]
     fn worker_panic_mid_chunk_diverts_at_the_exact_record() {
-        let data = numbered_lines(400, &[7, 250]);
-        let plan = newline_plan(&data, 2);
-        assert_eq!(plan.shards.len(), 2);
-        let panic_at = CHUNK_RECORDS + CHUNK_RECORDS / 2 + 4;
-        let policy = RecoveryPolicy::unlimited();
-        let mut items = Vec::new();
-        let mut progress = Vec::new();
-        let mut streamed = 0;
-        let budget = run_sharded(
-            &plan,
-            &policy,
-            ErrorBudget::new(),
-            DEFAULT_MAX_INFLIGHT,
-            |shard: &Shard, mut tx: ShardSender<String, u64>| {
-                let records = split_records(&data, shard.start, shard.end);
-                for (k, (line, end)) in records.into_iter().enumerate() {
-                    assert!(shard.first_record + k != panic_at, "worker panic safety net");
-                    let msg = RecordMsg {
-                        item: String::from_utf8_lossy(line).into_owned(),
-                        nerr: u32::from(line.contains(&b'X')),
-                        panic_skipped: 0,
-                        end_offset: end,
-                        extra: Some(1),
-                    };
-                    if !tx.send(msg) {
-                        break;
-                    }
-                }
-            },
-            toy_replay(&data, policy),
-            |item: String, extra, p: &Progress| {
-                items.push(item);
-                streamed += extra.unwrap_or(0);
-                progress.push(*p);
-            },
-        );
-        let seq = run_toy(&data, policy, 1);
-        assert_eq!(items, seq.items);
-        assert_eq!(budget, seq.budget);
-        assert_eq!(progress, seq.progress);
-        assert_eq!(streamed, panic_at as u64, "records before the panic stream, the rest replay");
+        let panic_at = 5 * 50 + 17;
+        let data = numbered_lines(400, &[7, 300]);
+        let plan = eight_chunks(&data);
+        for mode in [OnExhausted::Stop, OnExhausted::SkipRecord, OnExhausted::BestEffort] {
+            // The limit trips after the panic, in the replayed tail.
+            let policy = RecoveryPolicy::unlimited().with_max_errs(1).with_on_exhausted(mode);
+            let seq = run_toy(&data, policy, 1);
+            for jobs in [1, 2, 3] {
+                let fresh = ErrorBudget::new();
+                let par = run_toy_plan(&data, &plan, policy, jobs, fresh, Some(panic_at));
+                assert_eq!(par.items, seq.items, "{mode:?} jobs={jobs}");
+                assert_eq!(par.budget, seq.budget, "{mode:?} jobs={jobs}");
+                assert_eq!(par.progress, seq.progress, "{mode:?} jobs={jobs}");
+                assert_eq!(
+                    par.streamed, panic_at as u64,
+                    "{mode:?} jobs={jobs}: records before the panic merge, the rest replay"
+                );
+                assert_eq!(par.overruns, 0, "{mode:?} jobs={jobs}: window exceeded");
+            }
+        }
     }
 
     #[test]
@@ -845,23 +1061,13 @@ mod tests {
         let data = b"a\nb\nc\nd\ne\nf\ng\nh\n";
         let plan = newline_plan(data, 4);
         assert!(plan.shards.len() > 1);
-        let panic_in = plan.shards[1].start..plan.shards[1].end;
         let policy = RecoveryPolicy::unlimited();
-        let mut items = Vec::new();
-        let budget = run_sharded(
-            &plan,
-            &policy,
-            ErrorBudget::new(),
-            4,
-            |shard: &Shard, tx: ShardSender<String, u64>| {
-                assert!(shard.start != panic_in.start, "worker panic safety net");
-                toy_worker(data)(shard, tx);
-            },
-            toy_replay(data, policy),
-            |item: String, _extra, _p: &Progress| items.push(item),
-        );
+        // The panic hits the first record of the second chunk.
+        let at = plan.shards[1].first_record;
+        let run = run_toy_plan(data, &plan, policy, 4, ErrorBudget::new(), Some(at));
         let seq = run_toy(data, policy, 1);
-        assert_eq!(items, seq.items);
-        assert_eq!(budget, seq.budget);
+        assert_eq!(run.items, seq.items);
+        assert_eq!(run.budget, seq.budget);
+        assert_eq!(run.streamed, at as u64);
     }
 }

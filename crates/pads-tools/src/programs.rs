@@ -10,7 +10,7 @@
 //! [`PadsParser::ingest`].
 
 use pads::{
-    BaseMask, Mask, NoObserver, PadsParser, ParseDesc, ParseOptions, Registry,
+    keep_record, BaseMask, Mask, NoObserver, PadsParser, ParseDesc, ParseOptions, Registry,
     ResumePoint, Schema, SourceShape, Value,
 };
 
@@ -31,7 +31,8 @@ fn for_each_record(
     let parser = PadsParser::new(schema, registry).with_options(options);
     let mask = Mask::all(BaseMask::CheckAndSet);
     let start = ResumePoint::default();
-    parser.ingest(data, shape, &mask, 1, start, None::<&NoObserver>, |step| {
+    let none = None::<&NoObserver>;
+    parser.ingest(data, shape, &mask, 1, start, none, keep_record, |step| {
         shape.records_in(step, &mut each);
     });
 }

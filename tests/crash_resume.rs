@@ -10,7 +10,7 @@
 
 use pads::generated::clf as gen_clf;
 use pads::{
-    descriptions, BaseMask, ErrorBudget, Ingest, Mask, NoObserver, OnExhausted, PadsParser,
+    descriptions, keep_record, BaseMask, ErrorBudget, Ingest, Mask, NoObserver, OnExhausted, PadsParser,
     ParseDesc, ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, SourceShape, Value,
 };
 use pads_observe::MetricsSink;
@@ -142,10 +142,11 @@ fn kill_resume_matches_uninterrupted_run() {
             let parser = parser_for(&schema, &registry, policy);
             let mut par = Vec::new();
             let shape = SourceShape::records("entry_t");
+            let none = None::<&NoObserver>;
             let par_budget = parser
-                .ingest(&data, &shape, &mask(), jobs, cp, None::<&NoObserver>, |step| {
-                    if let Ingest::Record(value, pd, _, _) = step {
-                        par.push((value, pd));
+                .ingest(&data, &shape, &mask(), jobs, cp, none, keep_record, |step| {
+                    if let Ingest::Record(item, _, _) = step {
+                        par.push(item);
                     }
                 })
                 .budget;

@@ -14,7 +14,9 @@ use pads::{
     ParseOptions, RecoveryPolicy, Registry, Schema, Value,
 };
 use pads_observe::MetricsSink;
-use pads_runtime::{Cursor, FaultPlan, MetricsCore, WorkerObs};
+use pads_runtime::{
+    plan_chunks, Charset, Cursor, FaultPlan, MetricsCore, RecordDiscipline, WorkerObs,
+};
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
 const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
@@ -181,6 +183,50 @@ fn fault_harness_parallel_matches_sequential() {
             if !pd.is_ok() {
                 assert_eq!(batch.pd(i), *pd, "seed {seed}: batch error pd [{i}] diverges");
             }
+        }
+    }
+}
+
+/// A generated clf log big enough that each worker holds at least four
+/// chunks at jobs 2 and 4, under an error budget that trips three
+/// quarters of the way in — in a chunk no worker starts with. Under every
+/// `OnExhausted` mode the pooled engine must match the sequential loop:
+/// values, descriptors and budget.
+#[test]
+fn pooled_chunks_match_sequential_with_a_late_trip() {
+    let schema = descriptions::clf();
+    let registry = Registry::standard();
+    let config = pads_gen::ClfConfig { records: 3000, seed: 11, ..Default::default() };
+    let data = pads_gen::clf::generate(&config).0;
+    let mask = mask();
+    let unlimited = PadsParser::new(&schema, &registry);
+    let mut it = unlimited.records(&data, "entry_t", &mask);
+    for _ in (&mut it).take(2250) {}
+    let max_errs = it.budget().errs;
+    for mode in [OnExhausted::Stop, OnExhausted::SkipRecord, OnExhausted::BestEffort] {
+        let policy = RecoveryPolicy::unlimited().with_max_errs(max_errs).with_on_exhausted(mode);
+        let (seq_items, seq_budget) = sequential(&schema, &registry, policy, &data, "entry_t");
+        assert!(seq_budget.exhausted(), "{mode:?}: the budget must trip");
+        let parser = PadsParser::new(&schema, &registry)
+            .with_options(ParseOptions { policy, ..Default::default() });
+        // The record whose parse exhausts the budget.
+        let mut seq = parser.records(&data, "entry_t", &mask);
+        let mut trip = 0;
+        while seq.next().is_some() && !seq.budget().exhausted() {
+            trip += 1;
+        }
+        for jobs in [2, 4] {
+            let plan = plan_chunks(&data, RecordDiscipline::Newline, Charset::Ascii, jobs);
+            assert!(plan.shards.len() >= 4 * jobs, "jobs={jobs}: {} chunks", plan.shards.len());
+            let chunk = plan.shards.iter().position(|c| trip < c.first_record + c.records);
+            assert!(chunk.is_some_and(|c| c >= jobs), "jobs={jobs}: trip {trip} in {chunk:?}");
+            let (par_items, par_budget) = parser.records_par(&data, "entry_t", &mask, jobs);
+            assert_eq!(par_items.len(), seq_items.len(), "{mode:?} jobs={jobs}: record count");
+            for (i, (par, seq)) in par_items.iter().zip(&seq_items).enumerate() {
+                assert_eq!(par.0, seq.0, "{mode:?} jobs={jobs}: value [{i}]");
+                assert_eq!(par.1, seq.1, "{mode:?} jobs={jobs}: descriptor [{i}]");
+            }
+            assert_eq!(par_budget, seq_budget, "{mode:?} jobs={jobs}: budget");
         }
     }
 }
